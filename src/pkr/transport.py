@@ -92,12 +92,27 @@ def plan_divergence(space: FiniteMetricSpace, plan: TransportPlan) -> SignedMeas
 class _TransportationSolver:
     """Primal network simplex for one balanced transportation instance.
 
+    The basis is a spanning tree over the sources, the sinks and an
+    artificial root. It is kept hung from the root as ``parent`` and
+    ``parent_arc`` links, node depths and per-node child lists, and it
+    starts as the star of big-M artificial arcs. A pivot finds the cycle
+    of the entering arc by climbing from both endpoints to their common
+    ancestor, which costs the cycle length. It then updates the tree in
+    place (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11): the
+    subtree below the leaving arc is detached, the parent links on the
+    path from the entering arc's endpoint up to that subtree's root are
+    reversed, and the subtree is re-hung on the entering arc. Depths and
+    potentials change only inside that subtree. They are recomputed there
+    top-down from the new parents, so every potential is the same sum
+    along its root path that a walk from the root would give, bit for bit.
+
     Bland-style anti-cycling pivot: the entering arc is the lowest-index
     arc with negative reduced cost, and ties for the leaving arc break to
     the lowest index. Supplies carry a tiny uniform perturbation against
     degenerate stalls; the perturbation is removed exactly at extraction
     by re-solving the final spanning tree against the unperturbed
-    balances.
+    balances. The final basis is traversed once from the root to confirm
+    that it is still a spanning tree that agrees with the maintained links.
     """
 
     def __init__(self, costs: np.ndarray, supplies: np.ndarray, demands: np.ndarray):
@@ -107,6 +122,11 @@ class _TransportationSolver:
         self.m, self.n = self.costs.shape
         if self.m != len(self.supplies) or self.n != len(self.demands):
             raise ValueError("cost matrix shape must match supplies x demands")
+        self.pivots = 0
+
+    def _failure(self, stage: str, what: str) -> NumericalFailure:
+        return NumericalFailure(f"{what} (stage: {stage}; m={self.m} sources, "
+                                f"n={self.n} sinks; {self.pivots} pivots)")
 
     def solve(self):
         m, n = self.m, self.n
@@ -139,45 +159,48 @@ class _TransportationSolver:
             head[num_real + m + j] = m + j
             cost[num_real + m + j] = big_m
 
-        flow = np.zeros(len(tail))
-        in_tree = np.zeros(len(tail), dtype=bool)
+        # scalar work per pivot runs on lists; pricing stays vectorized
+        self.tail, self.head, self.cost = tail.tolist(), head.tolist(), cost.tolist()
+        self.flow = [0.0] * num_real + sup.tolist() + dem.tolist()
+        self.in_tree = in_tree = np.zeros(len(tail), dtype=bool)
         in_tree[num_real:] = True
-        flow[num_real:num_real + m] = sup
-        flow[num_real + m:] = dem
 
-        parent = np.full(num_nodes, -1, dtype=np.int64)
-        parent_arc = np.full(num_nodes, -1, dtype=np.int64)
-        u = np.zeros(num_nodes)
-        self._rebuild_tree(tail, head, cost, in_tree, parent, parent_arc, u, root)
+        # initial basis: every node hangs from the root by its artificial arc
+        self.parent = [root] * (m + n) + [-1]
+        self.parent_arc = list(range(num_real, num_real + m + n)) + [-1]
+        self.depth = [1] * (m + n) + [0]
+        self.children = [[] for _ in range(m + n)] + [list(range(m + n))]
+        self.u = u = np.zeros(num_nodes)
+        u[:m] = -big_m
+        u[m:root] = big_m
 
         pivot_tol = 1e-12 * cost_scale
         max_pivots = 200 * (len(tail) + num_nodes) + 1000
-        for _ in range(max_pivots):
+        while True:
             rc = cost + u[tail] - u[head]
             rc[in_tree] = 0.0
             candidates = np.nonzero(rc < -pivot_tol)[0]
             if len(candidates) == 0:
                 break
-            e = int(candidates[0])
-            self._pivot(e, tail, head, flow, in_tree, parent, parent_arc)
-            self._rebuild_tree(tail, head, cost, in_tree, parent, parent_arc, u, root)
-        else:
-            raise NumericalFailure("network simplex pivot cap exceeded")
+            if self.pivots == max_pivots:
+                raise self._failure("pivoting", "network simplex pivot cap exceeded")
+            self._pivot(int(candidates[0]))
+            self.pivots += 1
+        self._check_tree(root)
 
         # de-perturb: re-solve the optimal tree against unperturbed balances
         balance = np.zeros(num_nodes)
         balance[:m] = -self.supplies
         balance[m:m + n] = self.demands
         balance[root] = -float(balance[:m + n].sum())
-        depth = self._depths(parent, root, num_nodes)
-        order = sorted((x for x in range(num_nodes) if x != root),
-                       key=lambda x: -depth[x])
+        depth, parent, parent_arc = self.depth, self.parent, self.parent_arc
+        order = sorted(range(m + n), key=lambda x: -depth[x])
         resid = balance.copy()
         exact = np.zeros(len(tail))
         for x in order:
-            a = int(parent_arc[x])
-            p = int(parent[x])
-            if tail[a] == x:
+            a = parent_arc[x]
+            p = parent[x]
+            if self.tail[a] == x:
                 f = -resid[x]
                 resid[p] -= f
             else:
@@ -187,11 +210,12 @@ class _TransportationSolver:
 
         neg_tol = 1e-8 * max(1.0, total)
         if float(exact.min(initial=0.0)) < -neg_tol:
-            raise NumericalFailure("negative basic flow after de-perturbation")
+            raise self._failure("de-perturbation", "negative basic flow after de-perturbation")
         exact = np.maximum(exact, 0.0)
         exact[~in_tree] = 0.0
         if float(exact[num_real:].max(initial=0.0)) > neg_tol:
-            raise NumericalFailure("artificial arc carries mass: instance not balanced")
+            raise self._failure("de-perturbation",
+                                "artificial arc carries mass: instance not balanced")
 
         flows = {}
         for a in range(num_real):
@@ -201,81 +225,97 @@ class _TransportationSolver:
         u_src, u_snk = self._dual_potentials(flows)
         return flows, u_src, u_snk
 
-    @staticmethod
-    def _depths(parent, root, num_nodes):
-        depth = np.zeros(num_nodes, dtype=np.int64)
-        for x in range(num_nodes):
-            d, y = 0, x
-            while y != root:
-                y = int(parent[y])
-                d += 1
-            depth[x] = d
-        return depth
+    def _pivot(self, e):
+        tail, head, flow = self.tail, self.head, self.flow
+        parent, parent_arc, depth = self.parent, self.parent_arc, self.depth
+        te, he = tail[e], head[e]
 
-    @staticmethod
-    def _rebuild_tree(tail, head, cost, in_tree, parent, parent_arc, u, root):
-        num_nodes = len(u)
-        adj = [[] for _ in range(num_nodes)]
-        for a in np.nonzero(in_tree)[0]:
-            t, h = int(tail[a]), int(head[a])
-            adj[t].append((h, int(a)))
-            adj[h].append((t, int(a)))
-        parent[:] = -1
-        parent_arc[:] = -1
-        u[root] = 0.0
-        seen = np.zeros(num_nodes, dtype=bool)
+        # climb to the common ancestor; an entry is (arc, traversed forward,
+        # its child node, the endpoint of e below it)
+        cycle = []
+        x, y = he, te
+        for _ in range(len(parent)):
+            if x == y:
+                break
+            if depth[x] >= depth[y]:
+                a = parent_arc[x]
+                cycle.append((a, tail[a] == x, x, he))
+                x = parent[x]
+            else:
+                a = parent_arc[y]
+                cycle.append((a, head[a] == y, y, te))
+                y = parent[y]
+        else:
+            # a tree path has fewer arcs than the tree has nodes
+            raise self._failure("pivoting", "basis lost spanning-tree property")
+
+        theta = math.inf
+        leaving = cut = inner = -1
+        for a, forward, child, end in cycle:
+            if not forward and (flow[a] < theta or (flow[a] == theta and a < leaving)):
+                theta, leaving, cut, inner = flow[a], a, child, end
+        if leaving < 0:
+            raise self._failure("pivoting", "unbounded pivot cycle")
+
+        flow[e] += theta
+        for a, forward, _, _ in cycle:
+            flow[a] += theta if forward else -theta
+        flow[leaving] = 0.0
+        self.in_tree[leaving] = False
+        self.in_tree[e] = True
+        self._rehang(cut, inner, te + he - inner, e)
+
+    def _rehang(self, cut, inner, outer, e):
+        """Hang the subtree below node ``cut`` from ``outer`` by arc ``e``.
+
+        ``inner`` is the endpoint of ``e`` inside that subtree. The parent
+        links on the path from ``inner`` up to ``cut`` are reversed, then
+        depths and potentials are reset inside the subtree only.
+        """
+        parent, parent_arc, children = self.parent, self.parent_arc, self.children
+        x, new_parent, new_arc = inner, outer, e
+        while True:
+            old_parent, old_arc = parent[x], parent_arc[x]
+            children[old_parent].remove(x)
+            parent[x], parent_arc[x] = new_parent, new_arc
+            children[new_parent].append(x)
+            if x == cut:
+                break
+            x, new_parent, new_arc = old_parent, x, old_arc
+
+        tail, cost, depth, u = self.tail, self.cost, self.depth, self.u
+        stack = [inner]
+        for _ in range(len(parent)):
+            if not stack:
+                break
+            x = stack.pop()
+            p, a = parent[x], parent_arc[x]
+            depth[x] = depth[p] + 1
+            # zero reduced cost on tree arcs: u[head] = u[tail] + cost
+            u[x] = u[p] + cost[a] if tail[a] == p else u[p] - cost[a]
+            stack.extend(children[x])
+        else:
+            # the root never moves, so a subtree has fewer nodes than the tree
+            raise self._failure("pivoting", "basis lost spanning-tree property")
+
+    def _check_tree(self, root):
+        """Confirm that every node hangs off the root through basic arcs."""
+        tail, head, in_tree = self.tail, self.head, self.in_tree
+        parent, parent_arc, depth = self.parent, self.parent_arc, self.depth
+        seen = [False] * len(parent)
         seen[root] = True
         stack = [root]
         while stack:
             x = stack.pop()
-            for y, a in adj[x]:
-                if seen[y]:
-                    continue
+            for y in self.children[x]:
+                a = parent_arc[y]
+                if seen[y] or parent[y] != x or depth[y] != depth[x] + 1 \
+                        or not in_tree[a] or {tail[a], head[a]} != {x, y}:
+                    raise self._failure("final basis", "basis lost spanning-tree property")
                 seen[y] = True
-                parent[y] = x
-                parent_arc[y] = a
-                # zero reduced cost on tree arcs: u[head] = u[tail] + cost
-                if int(tail[a]) == x:
-                    u[y] = u[x] + cost[a]
-                else:
-                    u[y] = u[x] - cost[a]
                 stack.append(y)
-        if not seen.all():
-            raise NumericalFailure("basis lost spanning-tree property")
-
-    def _pivot(self, e, tail, head, flow, in_tree, parent, parent_arc):
-        te, he = int(tail[e]), int(head[e])
-        root = len(parent) - 1
-        depth = self._depths(parent, root, len(parent))
-
-        fwd_side = []   # arcs traversed child->parent starting at he
-        bwd_side = []   # arcs traversed parent->child (collected climbing from te)
-        x, y = he, te
-        while x != y:
-            if depth[x] >= depth[y]:
-                a = int(parent_arc[x])
-                fwd_side.append((a, int(tail[a]) == x))
-                x = int(parent[x])
-            else:
-                a = int(parent_arc[y])
-                bwd_side.append((a, int(head[a]) == y))
-                y = int(parent[y])
-
-        cycle = [(e, True)] + fwd_side + bwd_side
-        theta = math.inf
-        leaving = -1
-        for a, forward in cycle:
-            if not forward and (flow[a] < theta or (flow[a] == theta and a < leaving)):
-                theta = float(flow[a])
-                leaving = a
-        if leaving < 0:
-            raise NumericalFailure("unbounded pivot cycle")
-
-        for a, forward in cycle:
-            flow[a] += theta if forward else -theta
-        flow[leaving] = 0.0
-        in_tree[leaving] = False
-        in_tree[e] = True
+        if not all(seen) or int(in_tree.sum()) != len(seen) - 1:
+            raise self._failure("final basis", "basis lost spanning-tree property")
 
     def _dual_potentials(self, flows):
         """Feasible, complementary-slack duals via Bellman-Ford relaxation.
@@ -309,7 +349,7 @@ class _TransportationSolver:
                 break
         worst = min((u[t] + w - u[h] for t, h, w in edges), default=0.0)
         if worst < -1e-6 * scale:
-            raise NumericalFailure("dual extraction found a negative cycle")
+            raise self._failure("dual extraction", "dual extraction found a negative cycle")
         return u[:m].copy(), u[m:].copy()
 
 

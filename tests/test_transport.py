@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import shortest_path_space, zero_charge_measure
-from pkr.errors import NonZeroCharge
+from conftest import random_measure, shortest_path_space, zero_charge_measure
+from pkr.certify import check_optimality
+from pkr.errors import NonZeroCharge, NumericalFailure
 from pkr.oracle import RationalMeasure, oracle_kr
-from pkr.space import SignedMeasure, dirac, tv_norm
-from pkr.transport import TransportPlan, kr_norm, plan_cost, plan_divergence
+from pkr.pknorm import pk_norm
+from pkr.space import SignedMeasure, dirac, tv_norm, validate_space
+from pkr.transport import (
+    TransportPlan,
+    _TransportationSolver,
+    kr_norm,
+    plan_cost,
+    plan_divergence,
+    solve_transportation,
+)
 
 
 class TestPlanOps:
@@ -128,3 +137,158 @@ class TestKrInvariants:
             assert plan_cost(sp, res.plan) == pytest.approx(res.cost)
             replay = plan_divergence(sp, res.plan)
             assert tv_norm(replay - xi) <= 1e-9 * max(1.0, tv_norm(xi))
+
+
+class TestSolverFailures:
+    def test_failure_names_stage_sizes_and_pivots(self):
+        # supply 1 against demand 2 leaves mass on an artificial arc
+        with pytest.raises(NumericalFailure,
+                           match=r"stage: de-perturbation; m=1 sources, n=2 sinks; 2 pivots"):
+            solve_transportation(np.array([[1.0, 2.0]]), np.array([1.0]), np.array([1.0, 1.0]))
+
+
+class TestKrBeyondOracleCap:
+    """Certificates at sizes the brute-force oracles (ATOM_CAP) cannot reach."""
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_kr_certified_at_scale(self, n):
+        rng = np.random.default_rng(100 + n)
+        sp = shortest_path_space(rng, n)
+        xi = zero_charge_measure(rng, sp)
+        _check_flow_result(sp, xi, kr_norm(sp, xi))
+
+    def test_pk_certified_at_n30(self):
+        rng = np.random.default_rng(130)
+        sp = shortest_path_space(rng, 30)
+        mu = random_measure(rng, sp)
+        sol = pk_norm(sp, mu, 2.0)
+        cert = check_optimality(sp, mu, sol.xi, sol.plan, sol.dual_f, 2.0)
+        assert cert.passed
+        assert cert.value == pytest.approx(sol.value, rel=1e-9)
+
+
+def _integer_line(n):
+    return validate_space([f"x{i}" for i in range(n)],
+                          np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float))
+
+
+def _hamming_cube(bits):
+    codes = np.arange(2 ** bits)
+    d = np.array([[bin(a ^ b).count("1") for b in codes] for a in codes], dtype=float)
+    return validate_space([format(c, f"0{bits}b") for c in codes], d)
+
+
+def _integer_zero_charge(rng, n):
+    """Full-support integer weights with total charge exactly zero."""
+    w = rng.integers(1, 6, n) * rng.choice([-1, 1], n)
+    w[0], w[1] = abs(w[0]), -abs(w[1])
+    # move the excess onto an entry of the opposite sign, which cannot vanish
+    excess = w.sum()
+    w[1 if excess > 0 else 0] -= excess
+    return w.astype(float)
+
+
+def _rebuilt_tree(solver):
+    """Parent links, depths and potentials walked from the root afresh."""
+    num_nodes = len(solver.parent)
+    root = num_nodes - 1
+    adj = [[] for _ in range(num_nodes)]
+    for a in np.nonzero(solver.in_tree)[0]:
+        t, h = solver.tail[a], solver.head[a]
+        adj[t].append((h, int(a)))
+        adj[h].append((t, int(a)))
+    parent, parent_arc = [-1] * num_nodes, [-1] * num_nodes
+    depth, u = [0] * num_nodes, [0.0] * num_nodes
+    seen, stack = {root}, [root]
+    while stack:
+        x = stack.pop()
+        for y, a in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                parent[y], parent_arc[y], depth[y] = x, a, depth[x] + 1
+                c = solver.cost[a]
+                u[y] = u[x] + c if solver.tail[a] == x else u[x] - c
+                stack.append(y)
+    assert len(seen) == num_nodes
+    return parent, parent_arc, depth, u
+
+
+class TestTieHeavyMetrics:
+    """Integer metrics with integer weights: many ties and degenerate pivots."""
+
+    SPACES = {"line25": lambda: _integer_line(25), "cube16": lambda: _hamming_cube(4)}
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_certified_and_invariant(self, name):
+        sp = self.SPACES[name]()
+        rng = np.random.default_rng(sorted(self.SPACES).index(name))
+        for _ in range(6):
+            xi = SignedMeasure(sp, _integer_zero_charge(rng, sp.n))
+            res = kr_norm(sp, xi)
+            _check_flow_result(sp, xi, res)
+            assert res.cost == pytest.approx(round(res.cost), abs=1e-9)
+            assert kr_norm(sp, -xi).cost == pytest.approx(res.cost, rel=1e-12)
+            for c in (0.25, 3.0, 1e6):
+                assert kr_norm(sp, c * xi).cost == pytest.approx(c * res.cost, rel=1e-9)
+
+    def test_line_closed_form(self):
+        sp = _integer_line(25)
+        rng = np.random.default_rng(25)
+        for _ in range(6):
+            w = _integer_zero_charge(rng, sp.n)
+            # on a unit-spaced line KR is the l1 norm of the cumulative charge
+            expected = float(np.abs(np.cumsum(w)[:-1]).sum())
+            assert kr_norm(sp, SignedMeasure(sp, w)).cost == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_tree_matches_rebuild_after_every_pivot(self, name, monkeypatch):
+        sp = self.SPACES[name]()
+        rng = np.random.default_rng(50 + sorted(self.SPACES).index(name))
+        pivot = _TransportationSolver._pivot
+        counts = {"pivots": 0, "degenerate": 0}
+
+        def checked_pivot(solver, e):
+            pivot(solver, e)
+            # e entered with zero flow, so its flow now is the step length
+            counts["pivots"] += 1
+            counts["degenerate"] += solver.flow[e] < 1e-9
+            parent, parent_arc, depth, u = _rebuilt_tree(solver)
+            assert solver.parent == parent and solver.parent_arc == parent_arc
+            assert solver.depth == depth
+            assert solver.u.tolist() == u
+            for x, kids in enumerate(solver.children):
+                assert sorted(kids) == [y for y in range(len(parent)) if parent[y] == x]
+
+        monkeypatch.setattr(_TransportationSolver, "_pivot", checked_pivot)
+        for _ in range(3):
+            xi = SignedMeasure(sp, _integer_zero_charge(rng, sp.n))
+            _check_flow_result(sp, xi, kr_norm(sp, xi))
+        assert counts["degenerate"] > 0 and counts["pivots"] > counts["degenerate"]
+
+
+def _kr_linprog(space, xi):
+    """KR norm as an LP over every ordered pair, solved by HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n = space.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    a_eq = np.zeros((n, len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        a_eq[j, k] += 1.0
+        a_eq[i, k] -= 1.0
+    c = np.array([space.dist[i, j] for i, j in pairs])
+    # one balance row is redundant for a zero-charge measure
+    res = optimize.linprog(c, A_eq=a_eq[:-1], b_eq=xi.weights[:-1],
+                           bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestKrAgainstLinprog:
+    @pytest.mark.parametrize("n", [5, 20, 40, 60])
+    def test_costs_agree(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3):
+            sp = shortest_path_space(rng, n)
+            xi = zero_charge_measure(rng, sp)
+            lp = _kr_linprog(sp, xi)
+            assert kr_norm(sp, xi).cost == pytest.approx(lp, rel=1e-9)
