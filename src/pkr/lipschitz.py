@@ -52,11 +52,8 @@ def _lip_const_values(dist: np.ndarray, values: np.ndarray) -> float:
     n = len(values)
     if n <= 1:
         return 0.0
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = max(best, abs(float(values[i] - values[j])) / float(dist[i, j]))
-    return best
+    i, j = np.triu_indices(n, 1)
+    return float((np.abs(values[i] - values[j]) / dist[i, j]).max())
 
 
 def lip_const(space: FiniteMetricSpace, f: LipschitzFunction) -> float:

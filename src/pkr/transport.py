@@ -5,7 +5,8 @@ of the negative part (sources) and the positive part (sinks) of a
 zero-charge measure, rooted at an artificial node for the initial basis.
 By the triangle inequality this bipartite problem has the same optimum as
 the unrestricted divergence-constrained problem, so no relay or slack
-arcs are needed.
+arcs are needed. The supplies are solved exactly as given: pivots run on
+a strongly feasible spanning tree, which cannot cycle.
 
 Orientation convention, fixed throughout the package: a plan entry
 (i, j, m) moves mass m from point i to point j, and divergence adds at j.
@@ -31,7 +32,6 @@ from .space import (
     tv_norm,
 )
 
-PERTURBATION_REL = 1e-13
 CHARGE_REL_TOL = 1e-9
 
 
@@ -97,22 +97,25 @@ class _TransportationSolver:
     ``parent_arc`` links, node depths and per-node child lists, and it
     starts as the star of big-M artificial arcs. A pivot finds the cycle
     of the entering arc by climbing from both endpoints to their common
-    ancestor, which costs the cycle length. It then updates the tree in
-    place (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11): the
-    subtree below the leaving arc is detached, the parent links on the
+    ancestor, the apex, which costs the cycle length. It then updates the
+    tree in place (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11):
+    the subtree below the leaving arc is detached, the parent links on the
     path from the entering arc's endpoint up to that subtree's root are
     reversed, and the subtree is re-hung on the entering arc. Depths and
     potentials change only inside that subtree. They are recomputed there
     top-down from the new parents, so every potential is the same sum
     along its root path that a walk from the root would give, bit for bit.
 
-    Bland-style anti-cycling pivot: the entering arc is the lowest-index
-    arc with negative reduced cost, and ties for the leaving arc break to
-    the lowest index. Supplies carry a tiny uniform perturbation against
-    degenerate stalls; the perturbation is removed exactly at extraction
-    by re-solving the final spanning tree against the unperturbed
-    balances. The final basis is traversed once from the root to confirm
-    that it is still a spanning tree that agrees with the maintained links.
+    The entering arc has the most negative reduced cost, the lowest index
+    on ties. The leaving arc follows Cunningham's rule (*Math. Prog.* 11,
+    1976; AMO §11.5): it is the last arc that blocks the step on the cycle
+    walked in the entering arc's direction from the apex. The initial star
+    carries positive flow on every arc, so it is strongly feasible (every
+    zero-flow tree arc points toward the root), and the rule keeps it so,
+    which rules out cycling without perturbing the supplies. The final
+    basis is traversed once from the root to confirm that it is still a
+    spanning tree that agrees with the maintained links, and its flows are
+    re-solved from the balances, which drops the rounding of the pivots.
     """
 
     def __init__(self, costs: np.ndarray, supplies: np.ndarray, demands: np.ndarray):
@@ -134,11 +137,6 @@ class _TransportationSolver:
         num_nodes = m + n + 1
         root = m + n
 
-        total = float(self.supplies.sum())
-        eps = PERTURBATION_REL * total
-        sup = self.supplies + eps
-        dem = self.demands + (m * eps) / n
-
         cost_scale = max(1.0, float(self.costs.max(initial=0.0)))
         # power of two so +-M cancels exactly in reduced costs
         big_m = 2.0 ** math.ceil(math.log2(8.0 * (m + n + 2) * cost_scale))
@@ -150,18 +148,14 @@ class _TransportationSolver:
         tail[:num_real] = k // n
         head[:num_real] = m + (k % n)
         cost[:num_real] = self.costs.reshape(-1)
-        for i in range(m):
-            tail[num_real + i] = i
-            head[num_real + i] = root
-            cost[num_real + i] = big_m
-        for j in range(n):
-            tail[num_real + m + j] = root
-            head[num_real + m + j] = m + j
-            cost[num_real + m + j] = big_m
+        # artificial arcs: source -> root, then root -> sink
+        tail[num_real:], head[num_real:] = np.arange(m + n), root
+        tail[num_real + m:], head[num_real + m:] = root, np.arange(m, m + n)
+        cost[num_real:] = big_m
 
         # scalar work per pivot runs on lists; pricing stays vectorized
         self.tail, self.head, self.cost = tail.tolist(), head.tolist(), cost.tolist()
-        self.flow = [0.0] * num_real + sup.tolist() + dem.tolist()
+        self.flow = [0.0] * num_real + self.supplies.tolist() + self.demands.tolist()
         self.in_tree = in_tree = np.zeros(len(tail), dtype=bool)
         in_tree[num_real:] = True
 
@@ -179,16 +173,17 @@ class _TransportationSolver:
         while True:
             rc = cost + u[tail] - u[head]
             rc[in_tree] = 0.0
-            candidates = np.nonzero(rc < -pivot_tol)[0]
-            if len(candidates) == 0:
+            e = int(np.argmin(rc))
+            if rc[e] >= -pivot_tol:
                 break
             if self.pivots == max_pivots:
                 raise self._failure("pivoting", "network simplex pivot cap exceeded")
-            self._pivot(int(candidates[0]))
+            self._pivot(e)
             self.pivots += 1
         self._check_tree(root)
 
-        # de-perturb: re-solve the optimal tree against unperturbed balances
+        # de-perturbation: re-solve the optimal tree's flows from the exact
+        # balances, leaves first
         balance = np.zeros(num_nodes)
         balance[:m] = -self.supplies
         balance[m:m + n] = self.demands
@@ -208,7 +203,7 @@ class _TransportationSolver:
                 resid[p] += f
             exact[a] = f
 
-        neg_tol = 1e-8 * max(1.0, total)
+        neg_tol = 1e-8 * max(1.0, float(self.supplies.sum()))
         if float(exact.min(initial=0.0)) < -neg_tol:
             raise self._failure("de-perturbation", "negative basic flow after de-perturbation")
         exact = np.maximum(exact, 0.0)
@@ -230,29 +225,32 @@ class _TransportationSolver:
         parent, parent_arc, depth = self.parent, self.parent_arc, self.depth
         te, he = tail[e], head[e]
 
-        # climb to the common ancestor; an entry is (arc, traversed forward,
-        # its child node, the endpoint of e below it)
-        cycle = []
+        # climb to the apex; an entry is (arc, traversed forward when flow
+        # runs te -> he across e, its child node, the endpoint of e below it)
+        up_from_te, up_from_he = [], []
         x, y = he, te
         for _ in range(len(parent)):
             if x == y:
                 break
             if depth[x] >= depth[y]:
                 a = parent_arc[x]
-                cycle.append((a, tail[a] == x, x, he))
+                up_from_he.append((a, tail[a] == x, x, he))
                 x = parent[x]
             else:
                 a = parent_arc[y]
-                cycle.append((a, head[a] == y, y, te))
+                up_from_te.append((a, head[a] == y, y, te))
                 y = parent[y]
         else:
             # a tree path has fewer arcs than the tree has nodes
             raise self._failure("pivoting", "basis lost spanning-tree property")
 
+        # walk from the apex down to te, across e, up from he; the last
+        # blocking arc leaves, which keeps the tree strongly feasible
+        cycle = up_from_te[::-1] + up_from_he
         theta = math.inf
         leaving = cut = inner = -1
         for a, forward, child, end in cycle:
-            if not forward and (flow[a] < theta or (flow[a] == theta and a < leaving)):
+            if not forward and flow[a] <= theta:
                 theta, leaving, cut, inner = flow[a], a, child, end
         if leaving < 0:
             raise self._failure("pivoting", "unbounded pivot cycle")
@@ -260,7 +258,6 @@ class _TransportationSolver:
         flow[e] += theta
         for a, forward, _, _ in cycle:
             flow[a] += theta if forward else -theta
-        flow[leaving] = 0.0
         self.in_tree[leaving] = False
         self.in_tree[e] = True
         self._rehang(cut, inner, te + he - inner, e)
@@ -320,37 +317,36 @@ class _TransportationSolver:
     def _dual_potentials(self, flows):
         """Feasible, complementary-slack duals via Bellman-Ford relaxation.
 
-        The big-M tree potentials are unusable whenever artificial arcs
-        stay basic at degenerate zero flow, so the duals are rebuilt from
-        the optimal flow alone: edge (i -> j) with weight c enforces
-        u_snk[j] <= u_src[i] + c, and the reverse edge with weight -c on
-        every support pair forces equality there.
+        The tree potentials carry +-big_m, whose rounding swamps the costs
+        of a metric at small scale, so the duals are rebuilt from the costs
+        and the optimal flow alone: every arc enforces u_snk[j] <= u_src[i]
+        + c[i, j], and every support pair also the reverse, forcing equality.
+        A round relaxes all arcs into the sinks by one column min, then the
+        support pairs back into the sources by one row min.
         """
         m, n = self.m, self.n
-        num = m + n
-        edges = []
-        for i in range(m):
-            for j in range(n):
-                edges.append((i, m + j, float(self.costs[i, j])))
-        for (i, j), f in sorted(flows.items()):
-            edges.append((m + j, i, -float(self.costs[i, j])))
+        c = self.costs
+        rows, cols = np.array(list(flows), dtype=np.intp).reshape(-1, 2).T
+        back = -c[rows, cols]
 
-        scale = max(1.0, float(self.costs.max(initial=0.0)))
+        scale = max(1.0, float(c.max(initial=0.0)))
         tol_relax = 1e-13 * scale
-        u = np.zeros(num)
-        for _ in range(num + 1):
-            changed = False
-            for t, h, w in edges:
-                v = u[t] + w
-                if v < u[h] - tol_relax:
-                    u[h] = v
-                    changed = True
-            if not changed:
+        u_src, u_snk = np.zeros(m), np.zeros(n)
+        for _ in range(m + n + 1):
+            into_snk = (u_src[:, None] + c).min(axis=0)
+            lower_snk = into_snk < u_snk - tol_relax
+            u_snk = np.where(lower_snk, into_snk, u_snk)
+            into_src = np.full(m, np.inf)
+            np.minimum.at(into_src, rows, u_snk[cols] + back)
+            lower_src = into_src < u_src - tol_relax
+            u_src = np.where(lower_src, into_src, u_src)
+            if not (lower_snk.any() or lower_src.any()):
                 break
-        worst = min((u[t] + w - u[h] for t, h, w in edges), default=0.0)
+        worst = min(float((u_src[:, None] + c - u_snk).min(initial=0.0)),
+                    float((u_snk[cols] + back - u_src[rows]).min(initial=0.0)))
         if worst < -1e-6 * scale:
             raise self._failure("dual extraction", "dual extraction found a negative cycle")
-        return u[:m].copy(), u[m:].copy()
+        return u_src, u_snk
 
 
 def solve_transportation(costs, supplies, demands):

@@ -8,6 +8,7 @@ from pkr.errors import InvalidQ, SpaceMismatch
 from pkr.holder import lp_combine
 from pkr.lipschitz import (
     LipschitzFunction,
+    _lip_const_values,
     dual_solve,
     lip_const,
     lip_product,
@@ -34,6 +35,24 @@ class TestNorms:
     def test_lip_const_singleton(self):
         s1 = validate_space(["a"], [[0.0]])
         assert lip_const(s1, fn(s1, [3.0])) == 0.0
+
+    def test_lip_const_matches_double_loop(self):
+        def reference(dist, values):
+            best = 0.0
+            for i in range(len(values)):
+                for j in range(i + 1, len(values)):
+                    best = max(best, abs(float(values[i] - values[j])) / float(dist[i, j]))
+            return best
+
+        rng = np.random.default_rng(33)
+        for n in (1, 2, 3, 7, 16, 40, 80):
+            dist = shortest_path_space(rng, n).dist
+            for _ in range(36):
+                metric_scale, value_scale = rng.choice([1e-8, 1.0, 1e8], 2)
+                d = dist * metric_scale
+                vals = rng.uniform(-1.0, 1.0, n) * value_scale
+                # the same quotients and the same max: equal bit for bit
+                assert _lip_const_values(d, vals) == reference(d, vals)
 
     def test_ql_norm(self, two_point):
         f = fn(two_point, [1, 0])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from pkr.oracle import RationalMeasure, oracle_kr
 from pkr.pknorm import pk_norm
 from pkr.space import SignedMeasure, dirac, tv_norm, validate_space
 from pkr.transport import (
+    FlowResult,
     TransportPlan,
     _TransportationSolver,
     kr_norm,
@@ -284,7 +287,7 @@ def _kr_linprog(space, xi):
 
 
 class TestKrAgainstLinprog:
-    @pytest.mark.parametrize("n", [5, 20, 40, 60])
+    @pytest.mark.parametrize("n", [5, 20, 40, 60, 120])
     def test_costs_agree(self, n):
         rng = np.random.default_rng(200 + n)
         for _ in range(3):
@@ -292,3 +295,91 @@ class TestKrAgainstLinprog:
             xi = zero_charge_measure(rng, sp)
             lp = _kr_linprog(sp, xi)
             assert kr_norm(sp, xi).cost == pytest.approx(lp, rel=1e-9)
+
+
+def _zero_flow_arcs_point_to_root(solver):
+    """Count the zero-flow tree arcs; each must run from child to parent."""
+    count = 0
+    for x, a in enumerate(solver.parent_arc):
+        if a >= 0 and solver.flow[a] == 0.0:
+            assert solver.tail[a] == x, f"zero-flow arc {a} points away from the root"
+            count += 1
+    return count
+
+
+class TestStronglyFeasibleTree:
+    """Cunningham's leaving rule keeps every zero-flow tree arc pointing
+    toward the root, which is what rules out cycling without perturbation."""
+
+    SPACES = {"line25": lambda: _integer_line(25), "line40": lambda: _integer_line(40),
+              "cube16": lambda: _hamming_cube(4)}
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_strongly_feasible_after_every_pivot(self, name, monkeypatch):
+        sp = self.SPACES[name]()
+        rng = np.random.default_rng(70 + sorted(self.SPACES).index(name))
+        pivot = _TransportationSolver._pivot
+        counts = {"pivots": 0, "zero_flow_arcs": 0}
+
+        def checked_pivot(solver, e):
+            pivot(solver, e)
+            counts["pivots"] += 1
+            counts["zero_flow_arcs"] += _zero_flow_arcs_point_to_root(solver)
+
+        monkeypatch.setattr(_TransportationSolver, "_pivot", checked_pivot)
+        for _ in range(2):
+            xi = SignedMeasure(sp, _integer_zero_charge(rng, sp.n))
+            _check_flow_result(sp, xi, kr_norm(sp, xi))
+            mu = SignedMeasure(sp, rng.integers(-5, 6, sp.n).astype(float))
+            for p in (1.0, 2.0, math.inf):
+                sol = pk_norm(sp, mu, p)
+                assert check_optimality(sp, mu, sol.xi, sol.plan, sol.dual_f, p).passed
+        assert counts["pivots"] > 0 and counts["zero_flow_arcs"] > 0
+
+
+class TestPivotBudget:
+    def test_kr_pivots_linear_in_nodes(self, monkeypatch):
+        # the pivot count does not depend on the machine; lowest-index
+        # pricing took 3259 pivots on this instance
+        rng = np.random.default_rng(180)
+        sp = shortest_path_space(rng, 80)
+        xi = zero_charge_measure(rng, sp)
+        solve = _TransportationSolver.solve
+        solvers = []
+
+        def recording_solve(solver):
+            solvers.append(solver)
+            return solve(solver)
+
+        monkeypatch.setattr(_TransportationSolver, "solve", recording_solve)
+        _check_flow_result(sp, xi, kr_norm(sp, xi))
+        (solver,) = solvers
+        assert solver.pivots <= 10 * (solver.m + solver.n)
+
+
+class TestScaleRobustness:
+    """Metric and weight scales far from 1 must not cost precision."""
+
+    SCALES = (1e-8, 1.0, 1e8)
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_certified_at_every_scale(self, n):
+        rng = np.random.default_rng(300 + n)
+        base = shortest_path_space(rng, n)
+        xi0, mu0 = zero_charge_measure(rng, base), random_measure(rng, base)
+        for metric_scale in self.SCALES:
+            sp = validate_space(list(base.labels), metric_scale * base.dist)
+            for weight_scale in self.SCALES:
+                xi = SignedMeasure(sp, weight_scale * xi0.weights)
+                res = kr_norm(sp, xi)
+                # _check_flow_result's tolerances are absolute, so certify
+                # the result mapped back to unit scale: then they are relative
+                plan = TransportPlan(base, tuple((i, j, m / weight_scale)
+                                                 for i, j, m in res.plan.entries))
+                _check_flow_result(base, xi0, FlowResult(
+                    res.cost / (metric_scale * weight_scale), plan,
+                    res.potentials / metric_scale))
+                mu = SignedMeasure(sp, weight_scale * mu0.weights)
+                for p in (1.0, 2.0, math.inf):
+                    sol = pk_norm(sp, mu, p)
+                    assert check_optimality(sp, mu, sol.xi, sol.plan, sol.dual_f, p).passed
