@@ -9,6 +9,7 @@ each budget with one scalarized flow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,11 +49,20 @@ class DualSolution:
     active_budget: tuple[float, float]
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j, shared by every caller and so read-only."""
+    pairs = np.triu_indices(n, 1)
+    for idx in pairs:
+        idx.setflags(write=False)
+    return pairs
+
+
 def _lip_const_values(dist: np.ndarray, values: np.ndarray) -> float:
     n = len(values)
     if n <= 1:
         return 0.0
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_pairs(n)
     return float((np.abs(values[i] - values[j]) / dist[i, j]).max())
 
 
@@ -135,8 +145,7 @@ def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
                     ratio = math.exp(min(700.0, p * math.log(a / b)))
                     candidates.append((ratio / (1.0 + ratio)) ** (1.0 / q))
         for k in range(len(ab) - 1):
-            candidates.append(_piece_switch(ab[k], ab[k + 1], budget))
-        candidates.append(_golden_max(value_at, 0.0, 1.0))
+            candidates.append(_piece_switch(ab[k], ab[k + 1], q))
 
     s_star = max(candidates, key=lambda s: (value_at(s), -s))
     s_star, m_star = budget(s_star)
@@ -165,42 +174,17 @@ def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
     return DualSolution(f, value, q, (s_star, m_star))
 
 
-def _piece_switch(v0, v1, budget) -> float:
-    """Budget parameter where two vertex price lines cross (bisection)."""
-    def h(s: float) -> float:
-        s, m = budget(s)
-        return (s * v0[0] + m * v0[1]) - (s * v1[0] + m * v1[1])
+def _piece_switch(v0, v1, q: float) -> float:
+    """Budget parameter s where the price lines of two adjacent vertices cross.
 
-    lo, hi = 0.0, 1.0
-    if h(lo) == 0.0:
-        return lo
-    if h(lo) * h(hi) > 0.0:
-        return lo if h(lo) < 0.0 else hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if h(lo) * h(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, lo: float, hi: float, iters: int = 150) -> float:
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = fn(d)
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
+    s * a0 + m * b0 = s * a1 + m * b1 gives s / m = r = -(b1 - b0) / (a1 - a0),
+    and m = (1 - s^q)^(1/q) then gives s = (r^q / (1 + r^q))^(1/q), written
+    with the smaller of r and 1 / r raised to q so that it cannot overflow.
+    """
+    da, db = v1[0] - v0[0], v1[1] - v0[1]
+    if da <= 0.0 or db >= 0.0:
+        return 0.0
+    r = -db / da
+    x = min(r, 1.0 / r)
+    s = 1.0 / (1.0 + x ** q) ** (1.0 / q)
+    return s if r >= 1.0 else x * s

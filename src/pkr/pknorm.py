@@ -6,13 +6,16 @@ For a weight lam >= 0 the scalarized problem
 
 is a single min-cost flow on the space augmented with one virtual node v:
 moving mass to or from v costs lam (annihilation/creation), real pairs
-cost min(d, 2 lam) (beyond that a pair is cheaper to annihilate), and the
-net charge of mu is absorbed at v. Sweeping lam traces the convex
-trade-off curve of achievable (transport cost a, residual mass b) pairs;
-the norm for any p is the closed-form l^p minimum over that curve, with
-interior edge points realized by mixing the two adjacent vertex
-solutions. Dual witnesses come from the flow potentials of the
-supporting lam, rescaled onto the conjugate unit ball.
+cost their distance, and the net charge of mu is absorbed at v. For one
+lam, ``scalarized_min`` solves it as a bipartite transportation problem
+in which a real pair costs min(d, 2 lam). As a transshipment its costs
+are affine in lam, so one parametric network simplex walk over lam
+visits every vertex of the convex trade-off curve of achievable
+(transport cost a, residual mass b) pairs; the norm for any p is the
+closed-form l^p minimum over that curve, with interior edge points
+realized by mixing the two adjacent vertex solutions. Dual witnesses
+come from the flow potentials of the supporting lam, rescaled onto the
+conjugate unit ball.
 """
 
 from __future__ import annotations
@@ -28,14 +31,15 @@ from .lipschitz import LipschitzFunction, _lip_const_values, pairing
 from .space import FiniteMetricSpace, SignedMeasure, total_charge, tv_norm
 from .transport import (
     TransportPlan,
+    _TransportationSolver,
     extend_potentials,
     kr_norm,
     plan_cost,
+    plan_divergence,
     solve_transportation,
 )
 
 DEFAULT_TOL = 1e-8
-FRONTIER_MAX_PROBES = 128
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,8 @@ class ScalarizedSolution:
 
 @dataclass(frozen=True)
 class FrontierPoint:
-    """One scalarization probe: weight, trade-off pair, attaining solution."""
+    """One trade-off vertex: the weight where it becomes optimal, the pair
+    (a, b) and the attaining solution, with its potentials at that weight."""
 
     lam: float
     a: float
@@ -142,63 +147,153 @@ def scalarized_min(space: FiniteMetricSpace, mu: SignedMeasure,
     return ScalarizedSolution(lam, xi, a, b, plan, f, a + lam * b)
 
 
-def trace_frontier(space: FiniteMetricSpace, mu: SignedMeasure,
-                   max_probes: int = FRONTIER_MAX_PROBES) -> list[FrontierPoint]:
-    """All scalarization probes needed to pin down the trade-off curve.
+class _FrontierWalk(_TransportationSolver):
+    """Parametric network simplex over lam for the scalarized problem.
 
-    Recursive breakpoint hunting: probe the lam where the supporting
-    lines of two known vertices cross; either the crossing confirms they
-    are adjacent or it exposes a new vertex in between. The final probe
-    at lam = diameter (where transport strictly beats annihilation for
-    every pair) pins the right end of the curve.
+    The scalarized problem is a transshipment through the virtual node,
+    split here into a source row and a sink column joined by a zero-cost
+    arc. Rows before the last are the atoms of the negative part of mu,
+    columns before the last those of the positive part, real pairs cost
+    their distance, and the arcs into the virtual column or out of the
+    virtual row (annihilation) cost lam. The virtual row supplies
+    TV(mu) + max(charge, 0), more than the real sinks can take, so the
+    joining arc always carries flow and both halves of the virtual node
+    share one potential.
+
+    Arc costs are c0 + lam * c1, and so are the tree potentials. Both are
+    kept as complex numbers c0 + 1j * c1: the base class's in-place tree
+    update only adds and subtracts arc costs, so it carries the two parts
+    at once, and the lam part stays an exact small integer. The walk
+    starts from the all-annihilation tree (every real source into the
+    virtual column, the virtual row into every real sink, the joining arc),
+    which carries flow on every arc and is therefore strongly feasible, and
+    which is optimal up to lam = min d / 2. Each step enters the non-tree
+    arc whose reduced cost rc0 + lam * rc1 reaches zero first, an arc
+    already negative at the current lam first of all, and pivots with the
+    base class's Cunningham leaving rule, so a breakpoint with many tied
+    pivots cannot cycle.
+    """
+
+    def __init__(self, costs: np.ndarray, supplies: np.ndarray, demands: np.ndarray):
+        m, n = costs.shape[0] + 1, costs.shape[1] + 1
+        self.m, self.n = m, n
+        self.pivots = 0
+        k = np.arange(m * n)
+        self.tail = (k // n).tolist()
+        self.head = (m + k % n).tolist()
+        cost = np.zeros((m, n), dtype=complex)
+        cost[:-1, :-1] = costs
+        cost[:-1, -1] = cost[-1, :-1] = 1j
+        self.cost = cost.ravel().tolist()
+
+        flow = np.zeros((m, n))
+        flow[:-1, -1] = supplies[:-1]
+        flow[-1, :-1] = demands[:-1]
+        flow[-1, -1] = supplies[-1] - float(demands[:-1].sum())
+        self.flow = flow.ravel().tolist()
+        in_tree = np.zeros((m, n), dtype=bool)
+        in_tree[:, -1] = in_tree[-1, :] = True
+        self.in_tree = in_tree.ravel()
+
+        # the virtual column is the root: every source hangs from it, every
+        # real sink from the virtual row
+        vrow, root = m - 1, m + n - 1
+        self.parent = [root] * m + [vrow] * (n - 1) + [-1]
+        self.parent_arc = list(range(n - 1, m * n, n)) + list(range(vrow * n, m * n - 1)) + [-1]
+        self.depth = [1] * m + [2] * (n - 1) + [0]
+        self.children = [[] for _ in range(m + n)]
+        self.children[vrow] = list(range(m, root))
+        self.children[root] = list(range(m))
+        self.u = np.zeros(m + n, dtype=complex)
+        self.u[:vrow] = -1j
+        self.u[m:root] = 1j
+
+    def walk(self, lam_max: float):
+        """Yield each lam, up to ``lam_max``, where the tree holds a new vertex.
+
+        A vertex is yielded after the last pivot at its breakpoint, so the
+        tree then stays optimal until the next yield. Breakpoints closer
+        than 1e-12 * lam_max count as one.
+        """
+        tail, head = np.array(self.tail), np.array(self.head)
+        cost = np.array(self.cost)
+        tol = 1e-12 * lam_max
+        max_pivots = 200 * (len(tail) + self.m + self.n) + 1000
+        lam, moved = 0.0, True
+        while True:
+            rc = cost + self.u[tail] - self.u[head]
+            ready = (rc.imag < 0.0) & ~self.in_tree
+            e, lam_e = -1, math.inf
+            if ready.any():
+                cross = np.full(len(tail), math.inf)
+                cross[ready] = rc.real[ready] / -rc.imag[ready]
+                e = int(np.argmin(cross))
+                lam_e = float(cross[e])
+            if lam_e > lam + tol:
+                if moved:
+                    yield lam
+                    moved = False
+                if lam_e > lam_max:
+                    break
+                lam = lam_e
+            if self.pivots == max_pivots:
+                raise self._failure("frontier walk", "network simplex pivot cap exceeded")
+            self._pivot(e)
+            self.pivots += 1
+            # the entering arc now carries the step length
+            moved = moved or self.flow[e] > 0.0
+        self._check_tree(self.m + self.n - 1)
+
+
+def trace_frontier(space: FiniteMetricSpace, mu: SignedMeasure) -> list[FrontierPoint]:
+    """Every vertex of the trade-off curve, each once, in order of lam.
+
+    One parametric network simplex walk from lam = 0 to the diameter.
+    Vertex k is optimal for lam in [points[k].lam, points[k + 1].lam], the
+    last one for every larger lam; its potentials are the optimal duals at
+    the left end of that interval, which is 0 or a breakpoint of the curve.
     """
     tv = tv_norm(mu)
     if tv == 0.0:
         return [FrontierPoint(0.0, 0.0, 0.0, _trivial_scalarized(space, 0.0))]
 
-    tol_a = 1e-10 * max(1.0, tv * max(1.0, space.diameter))
-    tol_b = 1e-10 * max(1.0, tv)
-    budget = [max_probes]
-
-    def probe(lam: float) -> FrontierPoint:
-        budget[0] -= 1
-        sol = scalarized_min(space, mu, lam)
-        return FrontierPoint(lam, sol.a, sol.b, sol)
-
-    left = probe(0.0)
-    if space.diameter == 0.0:
-        return [left]
-    right = probe(space.diameter)
-    collected = [left, right]
-
-    def refine(lo: FrontierPoint, hi: FrontierPoint) -> None:
-        if budget[0] <= 0:
-            return
-        da = hi.a - lo.a
-        db = lo.b - hi.b
-        if da <= tol_a or db <= tol_b:
-            return
-        lam_mid = da / db
-        if not math.isfinite(lam_mid) or lam_mid <= 0.0:
-            return
-        line = lo.a + lam_mid * lo.b
-        mid = probe(lam_mid)
-        collected.append(mid)
-        if mid.sol.objective >= line - 1e-10 * max(1.0, abs(line)):
-            return
-        refine(lo, mid)
-        refine(mid, hi)
-
-    refine(left, right)
-    return sorted(collected, key=lambda fp: fp.lam)
+    w = mu.weights
+    src, snk = np.flatnonzero(w < 0.0), np.flatnonzero(w > 0.0)
+    m, n = len(src), len(snk)
+    charge = total_charge(mu)
+    walk = _FrontierWalk(space.dist[np.ix_(src, snk)],
+                         np.append(-w[src], tv + max(charge, 0.0)),
+                         np.append(w[snk], tv + max(-charge, 0.0)))
+    dist_src = space.dist[:, src]
+    points = []
+    for lam in walk.walk(space.diameter):
+        flow = np.array(walk.flow).reshape(m + 1, n + 1)[:m, :n]
+        rows, cols = np.nonzero(flow > 0.0)
+        entries = list(zip(src[rows].tolist(), snk[cols].tolist(), flow[rows, cols].tolist()))
+        plan = TransportPlan(space, tuple(entries))
+        xi = plan_divergence(space, plan)
+        # McShane extension of the source potentials, capped at lam: it is
+        # 1-Lipschitz, its sup is at most lam, and on the support it equals
+        # the tree potentials relative to the virtual node (the root, at 0)
+        u_src = walk.u.real[:m] + lam * walk.u.imag[:m]
+        f = (dist_src + u_src).min(axis=1, initial=lam)
+        a, b = plan_cost(space, plan), tv_norm(mu - xi)
+        sol = ScalarizedSolution(lam, xi, a, b, plan, f, a + lam * b)
+        points.append(FrontierPoint(lam, a, b, sol))
+    return points
 
 
 def vertices_of(probes: list[FrontierPoint]) -> list[FrontierPoint]:
-    """Distinct trade-off points, sorted by transport cost."""
+    """Distinct trade-off points, sorted by transport cost.
+
+    Points closer than 1e-9 of the largest a and of the largest b merge,
+    a relative tolerance, so the result does not depend on the scales of
+    the metric and the weights.
+    """
     if not probes:
         return []
-    tv_scale = max(1.0, max(fp.b for fp in probes))
-    a_scale = max(1.0, max(fp.a for fp in probes))
+    tv_scale = max(fp.b for fp in probes)
+    a_scale = max(fp.a for fp in probes)
     out: list[FrontierPoint] = []
     for fp in sorted(probes, key=lambda fp: (fp.a, -fp.b, fp.lam)):
         if out and abs(fp.a - out[-1].a) <= 1e-9 * a_scale \
@@ -210,22 +305,20 @@ def vertices_of(probes: list[FrontierPoint]) -> list[FrontierPoint]:
 
 def _frontier_table(probes: list[FrontierPoint],
                     diameter: float) -> tuple[tuple[float, float, float], ...]:
+    """One (lam, a, b) row per vertex, lam where it becomes optimal."""
     cap = diameter / 2.0
-    rows: list[tuple[float, float, float]] = []
-    for fp in sorted(probes, key=lambda fp: fp.lam):
-        lam = min(fp.lam, cap)
-        if rows and lam <= rows[-1][0] + 1e-15:
-            rows[-1] = (lam, fp.a, fp.b)
-        elif rows and fp.a == rows[-1][1] and fp.b == rows[-1][2]:
-            continue
-        else:
-            rows.append((lam, fp.a, fp.b))
+    rows = [(min(fp.lam, cap), fp.a, fp.b) for fp in sorted(probes, key=lambda fp: fp.lam)]
     return tuple(rows)
 
 
 def pareto_frontier(space: FiniteMetricSpace, mu: SignedMeasure,
                     max_points: int = 64) -> list[tuple[float, float, float]]:
-    """Monotone (lam, a, b) table spanning lam from 0 to diameter / 2."""
+    """Monotone (lam, a, b) table, one row per trade-off vertex.
+
+    A row's lam is where its vertex becomes optimal: 0 for the first, an
+    exact breakpoint of the curve (at most diameter / 2) for the others.
+    More than ``max_points`` rows are thinned to evenly spaced ones.
+    """
     if max_points < 2:
         raise ValueError("max_points must be at least 2")
     rows = list(_frontier_table(trace_frontier(space, mu), space.diameter))
@@ -350,8 +443,8 @@ def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
         if lam is None:
             return
         if lam > right.lam:
-            # only the rightmost trade-off point supports weights beyond the
-            # diameter; there the residual is single-signed, so a constant
+            # only the rightmost trade-off point supports weights beyond its
+            # own; there the residual is single-signed, so a constant
             # shift of its witness is exact for any larger weight
             if charge != 0.0:
                 shift = math.copysign(lam - right.lam, charge)

@@ -175,6 +175,75 @@ class TestDualSolve:
                 dual = dual_solve(sp, mu, q).value
                 assert abs(primal - dual) <= 1e-6 * max(1.0, primal)
 
+    def test_budget_search_matches_bisection_and_golden_section(self):
+        # the search dual_solve used before the closed-form crossing, kept
+        # here as the reference: an 80-step bisection per pair of adjacent
+        # vertices and a 150-step golden-section search over the budget
+        from pkr.pknorm import trace_frontier, vertices_of
+
+        def budget(s, q):
+            s = min(max(s, 0.0), 1.0)
+            return (s, 1.0 - s) if q == 1.0 else (s, max(0.0, 1.0 - s ** q) ** (1.0 / q))
+
+        def bisect_switch(v0, v1, q):
+            def h(s):
+                s, m = budget(s, q)
+                return (s * v0[0] + m * v0[1]) - (s * v1[0] + m * v1[1])
+            lo, hi = 0.0, 1.0
+            if h(lo) == 0.0:
+                return lo
+            if h(lo) * h(hi) > 0.0:
+                return lo if h(lo) < 0.0 else hi
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if h(lo) * h(mid) <= 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            return 0.5 * (lo + hi)
+
+        def golden_max(fn):
+            inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+            lo, hi = 0.0, 1.0
+            c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+            fc, fd = fn(c), fn(d)
+            for _ in range(150):
+                if fc > fd:
+                    hi, d, fd = d, c, fc
+                    c = hi - inv_phi * (hi - lo)
+                    fc = fn(c)
+                else:
+                    lo, c, fc = c, d, fd
+                    d = lo + inv_phi * (hi - lo)
+                    fd = fn(d)
+                if hi - lo < 1e-14:
+                    break
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            # distances up to 10 put breakpoints on both sides of lam = 1,
+            # where the closed form switches branches
+            hi = float(rng.choice([1.0, 10.0]))
+            sp = shortest_path_space(rng, int(rng.integers(2, 17)), 0.1 * hi, hi)
+            mu = random_measure(rng, sp)
+            ab = [(v.a, v.b) for v in vertices_of(trace_frontier(sp, mu))]
+            for q in (1.0, 1.5, 2.0, 3.0):
+                def value_at(s):
+                    s, m = budget(s, q)
+                    return min(s * a + m * b for a, b in ab)
+                cands = [0.0, 1.0, golden_max(value_at)]
+                cands += [bisect_switch(v0, v1, q) for v0, v1 in zip(ab, ab[1:])]
+                if q > 1.0:
+                    p = q / (q - 1.0)
+                    cands += [(1.0 + (b / a) ** p) ** (-1.0 / q) for a, b in ab
+                              if a > 0.0 and b > 0.0]
+                ref = max(value_at(s) for s in cands)
+                sol = dual_solve(sp, mu, q)
+                s, m = sol.active_budget
+                assert min(s * a + m * b for a, b in ab) == pytest.approx(ref, rel=1e-12)
+                assert sol.value == pytest.approx(ref, rel=1e-12)
+
 
 class TestHolderInequality:
     def test_random_triples(self):
