@@ -101,14 +101,7 @@ def cmd_pk(args) -> dict:
     sp = _space_from(args)
     mu = formats.load_measure(sp, _read_json(args.measure))
     p = _exponent(args.p, check_p)
-    sol = pk_norm(sp, mu, p, tol=args.tol)
-    rec = formats.pk_record(sp, sol)
-    if args.oracle:
-        from .oracle import oracle_dual, oracle_pk
-        rec["oracle_pk"] = float(oracle_pk(sp, mu, p))
-        rec["oracle_dual"] = float(oracle_dual(
-            sp, mu, sol.pair.q, samples=20000, seed=args.seed))
-    return rec
+    return formats.pk_record(sp, pk_norm(sp, mu, p, tol=args.tol))
 
 
 def cmd_dist(args) -> dict:
@@ -212,8 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("pk", help="p-Kantorovich norm with certificate data")
     common(c, tol=True)
     c.add_argument("--p", required=True, help="exponent in [1, inf], or 'inf'")
-    c.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    c.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     c.set_defaults(func=cmd_pk)
 
     c = sub.add_parser("dist", help="p-Kantorovich distance between measures")

@@ -78,3 +78,24 @@ def lp_combine(a: float, b: float, p: float) -> float:
     if p == 1.0:
         return a + b
     return m * ((a / m) ** p + (b / m) ** p) ** (1.0 / p)
+
+
+def aligned_weight(a: float, b: float, p: float) -> float:
+    """The weight lam = (b / a)^(p - 1) for a, b >= 0, so that (1, lam) is
+    parallel to (a^(p-1), b^(p-1)), the direction of the conjugate unit
+    vector that attains the l^p norm of (a, b) in Holder's inequality.
+
+    p = 1 gives 1; p = inf gives 0 when a >= b and inf otherwise. Written
+    with logarithms, so that no quotient or power can overflow.
+    """
+    p = check_p(p)
+    if p == 1.0:
+        return 1.0
+    if math.isinf(p):
+        return 0.0 if a >= b else INF
+    if b <= 0.0:
+        return 0.0
+    if a <= 0.0:
+        return INF
+    expo = (p - 1.0) * (math.log(b) - math.log(a))
+    return INF if expo > 709.0 else math.exp(expo)

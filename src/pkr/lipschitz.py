@@ -3,8 +3,8 @@
 The combined norm blends the Lipschitz constant with the sup norm through
 an l^q combination; its unit ball is exactly the dual ball of the
 p-Kantorovich norm for conjugate exponents, which the dual solver
-exploits: it searches the boundary of the budget region (s, m) and prices
-each budget with one scalarized flow.
+exploits: it prices each budget (s, m) on the boundary of the unit ball in
+closed form from the transport/annihilation trade-off curve.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpaceMismatch, ToleranceNotMet
-from .holder import check_q, lp_combine
-from .space import FiniteMetricSpace, SignedMeasure, _frozen_array, total_charge, tv_norm
+from .holder import aligned_weight, check_q, conjugate_exponent, lp_combine
+from .space import FiniteMetricSpace, SignedMeasure, _frozen_array, tv_norm
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,15 @@ def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
                tol: float = 1e-8) -> DualSolution:
     """Maximize the pairing with mu over the q-Lipschitz unit ball.
 
-    For a budget point (s, m) on the ball boundary, the inner problem
-    max{pairing : lip <= s, sup <= m} is priced in closed form from the
-    transport/annihilation trade-off curve of mu, so the outer concave
-    1-D maximization needs no extra flow solves; one scalarized solve at
-    the winning budget recovers the witness function.
+    A budget (s, m) on the unit sphere, written through its weight
+    lam = m / s, bounds the pairing by min over the trade-off vertices of
+    s * a + m * b, and that bound is attained. The best budget is one of
+    lam = 0, lam = inf, a vertex's stationary weight (b / a)^(p - 1) or the
+    crossing of two adjacent price lines, so the outer maximization is a
+    comparison of candidates; the witness is read off the vertex that
+    supports the winning weight, with no further flow solve.
     """
-    from .pknorm import scalarized_min, trace_frontier, vertices_of
+    from .pknorm import frontier_witness, trace_frontier, vertex_at, vertices_of
 
     q = check_q(q)
     if tol <= 0:
@@ -116,75 +118,42 @@ def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
     if tv_norm(mu) == 0.0:
         return DualSolution(LipschitzFunction(space, np.zeros(n)), 0.0, q, (0.0, 0.0))
 
-    probes = trace_frontier(space, mu)
-    verts = vertices_of(probes)
-    ab = [(v.a, v.b) for v in verts]
-    charge = total_charge(mu)
+    verts = vertices_of(trace_frontier(space, mu))
 
-    def budget(s: float) -> tuple[float, float]:
-        s = min(max(s, 0.0), 1.0)
-        if math.isinf(q):
-            return 1.0, 1.0
-        if q == 1.0:
-            return s, 1.0 - s
-        return s, (max(0.0, 1.0 - s ** q)) ** (1.0 / q)
-
-    def value_at(s: float) -> float:
-        s, m = budget(s)
-        return min(s * a + m * b for a, b in ab)
+    def price(lam: float) -> float:
+        s, m = _budget(lam, q)
+        return min(s * v.a + m * v.b for v in verts)
 
     if math.isinf(q):
-        candidates = [1.0]
+        lams = [1.0]
     else:
-        candidates = [0.0, 1.0]
-        if q > 1.0:
-            p = q / (q - 1.0)
-            for a, b in ab:
-                if a > 0.0 and b > 0.0:
-                    # stationary budget of one trade-off vertex
-                    ratio = math.exp(min(700.0, p * math.log(a / b)))
-                    candidates.append((ratio / (1.0 + ratio)) ** (1.0 / q))
-        for k in range(len(ab) - 1):
-            candidates.append(_piece_switch(ab[k], ab[k + 1], q))
+        p = conjugate_exponent(q)
+        lams = [0.0, math.inf] + [aligned_weight(v.a, v.b, p) for v in verts]
+        for v0, v1 in zip(verts, verts[1:]):
+            da, db = v1.a - v0.a, v1.b - v0.b
+            if da > 0.0 and db < 0.0:
+                lams.append(da / -db)
 
-    s_star = max(candidates, key=lambda s: (value_at(s), -s))
-    s_star, m_star = budget(s_star)
-    target = value_at(s_star)
-
-    if s_star <= 1e-15:
-        vals = m_star * math.copysign(1.0, charge) * np.ones(n)
-        f = LipschitzFunction(space, vals)
-    else:
-        lam = m_star / s_star
-        shift = 0.0
-        if lam > space.diameter and space.diameter > 0.0:
-            # beyond the diameter the trade-off curve is linear, so clamp
-            # and compensate with a constant (residual mass pairs exactly)
-            shift = (m_star - s_star * space.diameter) * math.copysign(1.0, charge)
-            lam = space.diameter
-        sol = scalarized_min(space, mu, lam)
-        f = LipschitzFunction(space, s_star * sol.potentials + shift)
-
+    lam = max(lams, key=lambda lam: (price(lam), lam))
+    budget, target = _budget(lam, q), price(lam)
+    f = frontier_witness(vertex_at(verts, lam), lam, q)
     value = pairing(f, mu)
     if abs(value - target) > max(tol, 1e-9) * max(1.0, abs(target)):
         raise ToleranceNotMet(
             f"dual witness pairing {value} misses budget value {target}",
-            result=DualSolution(f, value, q, (s_star, m_star)),
+            result=DualSolution(f, value, q, budget),
         )
-    return DualSolution(f, value, q, (s_star, m_star))
+    return DualSolution(f, value, q, budget)
 
 
-def _piece_switch(v0, v1, q: float) -> float:
-    """Budget parameter s where the price lines of two adjacent vertices cross.
+def _budget(lam: float, q: float) -> tuple[float, float]:
+    """The point (s, m) of the unit l^q sphere with m / s = lam.
 
-    s * a0 + m * b0 = s * a1 + m * b1 gives s / m = r = -(b1 - b0) / (a1 - a0),
-    and m = (1 - s^q)^(1/q) then gives s = (r^q / (1 + r^q))^(1/q), written
-    with the smaller of r and 1 / r raised to q so that it cannot overflow.
+    With x the smaller of lam and 1 / lam, the larger coordinate is
+    (1 + x^q)^(-1/q) and the smaller x times it: no power overflows and
+    neither coordinate is recovered from the other by a cancelling
+    difference.
     """
-    da, db = v1[0] - v0[0], v1[1] - v0[1]
-    if da <= 0.0 or db >= 0.0:
-        return 0.0
-    r = -db / da
-    x = min(r, 1.0 / r)
-    s = 1.0 / (1.0 + x ** q) ** (1.0 / q)
-    return s if r >= 1.0 else x * s
+    x = min(lam, 1.0 / lam) if lam > 0.0 else 0.0
+    c = (1.0 + x ** q) ** (-1.0 / q)
+    return (c, lam * c) if lam <= 1.0 else (x * c, c)

@@ -13,29 +13,30 @@ are affine in lam, so one parametric network simplex walk over lam
 visits every vertex of the convex trade-off curve of achievable
 (transport cost a, residual mass b) pairs; the norm for any p is the
 closed-form l^p minimum over that curve, with interior edge points
-realized by mixing the two adjacent vertex solutions. Dual witnesses
-come from the flow potentials of the supporting lam, rescaled onto the
-conjugate unit ball.
+realized by mixing the two adjacent vertex solutions. The dual witness
+of a point (a, b) is read off the same walk: the potentials f_lam of the
+vertex that supports it at the weight lam = (b / a)^(p - 1), rescaled
+onto the conjugate unit sphere.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NegativeLambda, SpaceMismatch, ToleranceNotMet
-from .holder import HolderPair, lp_combine
+from .holder import HolderPair, aligned_weight, lp_combine
 from .lipschitz import LipschitzFunction, _lip_const_values, pairing
-from .space import FiniteMetricSpace, SignedMeasure, total_charge, tv_norm
+from .space import FiniteMetricSpace, SignedMeasure, is_zero_charge, total_charge, tv_norm
 from .transport import (
     TransportPlan,
     _TransportationSolver,
     extend_potentials,
     kr_norm,
     plan_cost,
-    plan_divergence,
     solve_transportation,
 )
 
@@ -56,14 +57,89 @@ class ScalarizedSolution:
 
 
 @dataclass(frozen=True)
+class _Walked:
+    """What every vertex of one traced frontier shares: the measure, the
+    atoms of its negative part (the walk's source rows) and of its positive
+    part (its sink columns), and the sign of its charge, 0 when it has none."""
+
+    mu: SignedMeasure
+    src: np.ndarray
+    snk: np.ndarray
+    sign: float
+
+
+@dataclass(frozen=True, slots=True)
 class FrontierPoint:
-    """One trade-off vertex: the weight where it becomes optimal, the pair
-    (a, b) and the attaining solution, with its potentials at that weight."""
+    """One trade-off vertex: the weight where it becomes optimal and the
+    pair (a, b).
+
+    It keeps only the walk's source-row tree potentials u0 + lam * u1, as
+    u0 + 1j * u1, and its positive flows, by arc of the walk's
+    (sources + 1) x (sinks + 1) block; ``sol`` builds the plan, xi and the
+    potentials at ``lam`` each time it is read.
+    """
 
     lam: float
     a: float
     b: float
-    sol: ScalarizedSolution
+    walked: _Walked = field(repr=False, compare=False)
+    u: np.ndarray = field(repr=False, compare=False)
+    arcs: np.ndarray = field(repr=False, compare=False)
+    mass: np.ndarray = field(repr=False, compare=False)
+
+    def potentials(self, lam: float) -> np.ndarray:
+        """McShane extension of the source potentials at ``lam``, capped at lam.
+
+        It is 1-Lipschitz, its sup is at most lam, and for lam in this
+        vertex's interval it equals the optimal duals (relative to the
+        virtual node) on every atom that carries flow, so it pairs with mu
+        to a + lam * b.
+        """
+        w = self.walked
+        u_src = self.u.real + lam * self.u.imag
+        return (w.mu.space.dist[:, w.src] + u_src).min(axis=1, initial=lam)
+
+    def witness(self, lam: float) -> tuple[np.ndarray, float]:
+        """Potentials f of weight ``lam``, in this vertex's interval, and their slope.
+
+        f pairs with mu to a + lam * b, with lip <= 1 and sup <= lam. Past
+        the diameter it is the potentials at the diameter plus the constant
+        sign(charge) * (lam - diameter), which the last vertex's residual,
+        of the charge's sign, pairs to exactly (a zero-charge measure has no
+        residual there and gets no shift); lam = inf leaves the constant
+        sign(charge).
+        """
+        w = self.walked
+        space = w.mu.space
+        if math.isinf(lam):
+            return np.full(space.n, w.sign), 0.0
+        vals = self.potentials(min(lam, space.diameter))
+        # the slope before the shift: the shift leaves it unchanged, but a
+        # large one rounds away the low-order bits of the differences
+        lip = _lip_const_values(space.dist, vals)
+        if lam > space.diameter:
+            vals = vals + w.sign * (lam - space.diameter)
+        return vals, lip
+
+    @property
+    def sol(self) -> ScalarizedSolution:
+        """The attaining solution at ``lam``, built anew on every read."""
+        w = self.walked
+        space = w.mu.space
+        m, n = len(w.src), len(w.snk)
+        rows, cols = np.divmod(self.arcs, n + 1)
+        real = (rows < m) & (cols < n)
+        entries = list(zip(w.src[rows[real]].tolist(), w.snk[cols[real]].tolist(),
+                           self.mass[real].tolist()))
+        plan = TransportPlan(space, tuple(entries))
+        # the residual mu - xi is the mass on the annihilation arcs
+        resid = np.zeros(space.n)
+        out, into = (rows < m) & (cols == n), (rows == m) & (cols < n)
+        resid[w.src[rows[out]]] = -self.mass[out]
+        resid[w.snk[cols[into]]] = self.mass[into]
+        xi = SignedMeasure(space, w.mu.weights - resid)
+        return ScalarizedSolution(self.lam, xi, self.a, self.b, plan,
+                                  self.potentials(self.lam), self.a + self.lam * self.b)
 
 
 @dataclass(frozen=True)
@@ -131,19 +207,27 @@ def scalarized_min(space: FiniteMetricSpace, mu: SignedMeasure,
     u_all = extend_potentials(aug, src, u_src)
     f = u_all[:n] - u_all[n]
 
+    # flows through the virtual node, or over a pair farther apart than
+    # 2 lam, are annihilated at their source and created at their sink:
+    # they make up the residual mu - xi, and the rest is the plan
     two_lam = 2.0 * lam
-    xi_w = np.zeros(n)
-    entries = []
+    resid = np.zeros(n)
+    entries, resid_mass = [], []
     for (i_loc, j_loc), mass in sorted(flows.items()):
         i, j = src[i_loc], snk[j_loc]
         if i < n and j < n and space.dist[i, j] <= two_lam:
             entries.append((i, j, mass))
-            xi_w[j] += mass
-            xi_w[i] -= mass
+            continue
+        if i < n:
+            resid[i] -= mass
+            resid_mass.append(mass)
+        if j < n:
+            resid[j] += mass
+            resid_mass.append(mass)
     plan = TransportPlan(space, tuple(entries))
-    xi = SignedMeasure(space, xi_w)
+    xi = SignedMeasure(space, w - resid)
     a = plan_cost(space, plan)
-    b = tv_norm(mu - xi)
+    b = math.fsum(resid_mass)
     return ScalarizedSolution(lam, xi, a, b, plan, f, a + lam * b)
 
 
@@ -250,36 +334,40 @@ def trace_frontier(space: FiniteMetricSpace, mu: SignedMeasure) -> list[Frontier
 
     One parametric network simplex walk from lam = 0 to the diameter.
     Vertex k is optimal for lam in [points[k].lam, points[k + 1].lam], the
-    last one for every larger lam; its potentials are the optimal duals at
-    the left end of that interval, which is 0 or a breakpoint of the curve.
+    last one for every larger lam; its potentials are the optimal duals
+    throughout that interval. Each vertex holds a = the sum of mass times
+    distance over its transported flows, as ``plan_cost`` sums it, and b =
+    the sum of its annihilated and created mass.
     """
-    tv = tv_norm(mu)
-    if tv == 0.0:
-        return [FrontierPoint(0.0, 0.0, 0.0, _trivial_scalarized(space, 0.0))]
-
     w = mu.weights
     src, snk = np.flatnonzero(w < 0.0), np.flatnonzero(w > 0.0)
     m, n = len(src), len(snk)
     charge = total_charge(mu)
-    walk = _FrontierWalk(space.dist[np.ix_(src, snk)],
-                         np.append(-w[src], tv + max(charge, 0.0)),
+    sign = 0.0 if is_zero_charge(mu) else math.copysign(1.0, charge)
+    walked = _Walked(mu, src, snk, sign)
+    tv = tv_norm(mu)
+    if tv == 0.0:
+        return [FrontierPoint(0.0, 0.0, 0.0, walked, np.zeros(0, dtype=complex),
+                              np.zeros(0, dtype=np.intp), np.zeros(0))]
+
+    costs = space.dist[np.ix_(src, snk)]
+    walk = _FrontierWalk(costs, np.append(-w[src], tv + max(charge, 0.0)),
                          np.append(w[snk], tv + max(-charge, 0.0)))
-    dist_src = space.dist[:, src]
+    # by arc of the walk: the distance of a real pair (0 on the virtual
+    # arcs), and whether the arc annihilates or creates mass
+    arc_dist = np.zeros((m + 1, n + 1))
+    arc_dist[:m, :n] = costs
+    resid_arc = np.zeros((m + 1, n + 1), dtype=bool)
+    resid_arc[:m, n] = resid_arc[m, :n] = True
+    arc_dist, resid_arc = arc_dist.ravel(), resid_arc.ravel()
     points = []
     for lam in walk.walk(space.diameter):
-        flow = np.array(walk.flow).reshape(m + 1, n + 1)[:m, :n]
-        rows, cols = np.nonzero(flow > 0.0)
-        entries = list(zip(src[rows].tolist(), snk[cols].tolist(), flow[rows, cols].tolist()))
-        plan = TransportPlan(space, tuple(entries))
-        xi = plan_divergence(space, plan)
-        # McShane extension of the source potentials, capped at lam: it is
-        # 1-Lipschitz, its sup is at most lam, and on the support it equals
-        # the tree potentials relative to the virtual node (the root, at 0)
-        u_src = walk.u.real[:m] + lam * walk.u.imag[:m]
-        f = (dist_src + u_src).min(axis=1, initial=lam)
-        a, b = plan_cost(space, plan), tv_norm(mu - xi)
-        sol = ScalarizedSolution(lam, xi, a, b, plan, f, a + lam * b)
-        points.append(FrontierPoint(lam, a, b, sol))
+        flow = np.array(walk.flow)
+        arcs = np.flatnonzero(flow > 0.0)
+        mass = flow[arcs]
+        a = math.fsum((mass * arc_dist[arcs]).tolist())
+        b = math.fsum(mass[resid_arc[arcs]].tolist())
+        points.append(FrontierPoint(lam, a, b, walked, walk.u[:m].copy(), arcs, mass))
     return points
 
 
@@ -347,15 +435,22 @@ def _edge_interior_argmin(v0: FrontierPoint, v1: FrontierPoint,
     return min(max(t, 0.0), 1.0)
 
 
-def _alignment_lambda(a: float, b: float, p: float) -> float | None:
-    """Scalarization weight whose dual touches the l^p objective at (a, b).
+def frontier_witness(vertex: FrontierPoint, lam: float, q: float) -> LipschitzFunction:
+    """The weight-``lam`` dual witness of a vertex, on the conjugate unit sphere:
+    ``vertex.witness(lam)`` divided by the l^q combination of its own slope
+    and height."""
+    vals, lip = vertex.witness(lam)
+    space = vertex.walked.mu.space
+    norm = lp_combine(lip, float(np.abs(vals).max(initial=0.0)), q)
+    if norm == 0.0:
+        return LipschitzFunction(space, np.zeros(space.n))
+    return LipschitzFunction(space, vals / norm)
 
-    Capped at 1e10: past the cap the relative Holder slack is below 1e-10
-    and the constant-shift witness absorbs the rest.
-    """
-    if math.isinf(p) or p == 1.0 or a <= 0.0 or b <= 0.0:
-        return None
-    return min(math.exp(min((p - 1.0) * math.log(b / a), 700.0)), 1e10)
+
+def vertex_at(verts: list[FrontierPoint], lam: float) -> FrontierPoint:
+    """The vertex whose interval [lam_k, lam_k+1] holds ``lam``."""
+    k = bisect.bisect_right([v.lam for v in verts], lam) - 1
+    return verts[max(k, 0)]
 
 
 def _zero_solution(space: FiniteMetricSpace, pair: HolderPair) -> PkSolution:
@@ -373,8 +468,8 @@ def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
     The reported value is the l^p combination of the returned (a, b)
     exactly as evaluated from the returned xi and plan; ``gap`` is the
     value minus the pairing of the returned unit-ball dual witness.
-    Raises ToleranceNotMet (with the best pair attached) if the gap stays
-    above ``tol * max(1, value)``.
+    Raises ToleranceNotMet (with the pair attached) if the gap is above
+    ``tol * max(1, value)``.
     """
     pair = HolderPair.from_p(p)
     if tol <= 0.0:
@@ -388,21 +483,18 @@ def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
         probes = trace_frontier(space, mu)
     table = _frontier_table(probes, space.diameter)
     verts = vertices_of(probes)
-    charge = total_charge(mu)
 
-    extra_sols: list[ScalarizedSolution] = []
     if pair.p == 1.0:
         sol = scalarized_min(space, mu, 1.0)
-        extra_sols.append(sol)
         xi, plan, a, b = sol.xi, sol.plan, sol.a, sol.b
-        support_lams: list[float] = []
+        lam = 1.0
+        vertex = vertex_at(verts, lam)
     else:
-        best_val = math.inf
-        best_kind: tuple = ("vertex", 0)
+        best_val, best_k, best_t = math.inf, 0, None
         for k, v in enumerate(verts):
             val = lp_combine(v.a, v.b, pair.p)
             if val < best_val:
-                best_val, best_kind = val, ("vertex", k)
+                best_val, best_k = val, k
         for k in range(len(verts) - 1):
             t = _edge_interior_argmin(verts[k], verts[k + 1], pair.p)
             if t is None or not 0.0 < t < 1.0:
@@ -411,88 +503,33 @@ def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
             bt = verts[k].b + t * (verts[k + 1].b - verts[k].b)
             val = lp_combine(at, bt, pair.p)
             if val < best_val:
-                best_val, best_kind = val, ("edge", k, t)
+                best_val, best_k, best_t = val, k, t
 
-        if best_kind[0] == "vertex":
-            v = verts[best_kind[1]]
-            xi, plan, a, b = v.sol.xi, v.sol.plan, v.sol.a, v.sol.b
+        if best_t is None:
+            # the alignment weight of (a, b), clipped into the interval of
+            # the vertex against rounding
+            vertex = verts[best_k]
+            sol = vertex.sol
+            xi, plan, a, b = sol.xi, sol.plan, sol.a, sol.b
+            hi = verts[best_k + 1].lam if best_k + 1 < len(verts) else math.inf
+            lam = min(max(aligned_weight(a, b, pair.p), vertex.lam), hi)
         else:
-            _, k, t = best_kind
-            xi = SignedMeasure(space, (1.0 - t) * verts[k].sol.xi.weights
-                               + t * verts[k + 1].sol.xi.weights)
+            v0, v1 = verts[best_k], verts[best_k + 1]
+            xi = SignedMeasure(space, (1.0 - best_t) * v0.sol.xi.weights
+                               + best_t * v1.sol.xi.weights)
             flow = kr_norm(space, xi)
             plan, a = flow.plan, flow.cost
             b = tv_norm(mu - xi)
-        support_lams = [_alignment_lambda(a, b, pair.p)]
+            # the whole edge is supported at its breakpoint
+            vertex, lam = v1, v1.lam
 
     value = lp_combine(a, b, pair.p)
-    scale = max(1.0, value)
-
-    candidates: list[np.ndarray] = [fp.sol.potentials for fp in probes]
-    candidates += [s.potentials for s in extra_sols]
-    if charge != 0.0:
-        candidates.append(np.ones(space.n))
-    if charge == 0.0:
-        # free midrange shift: the pairing is unchanged, the sup norm shrinks
-        candidates += [vals - (vals.max() + vals.min()) / 2.0
-                       for vals in list(candidates)]
-    right = max(probes, key=lambda fp: fp.lam)
-    probed = {fp.lam for fp in probes} | {s.lam for s in extra_sols}
-
-    def add_aligned(lam: float | None) -> None:
-        if lam is None:
-            return
-        if lam > right.lam:
-            # only the rightmost trade-off point supports weights beyond its
-            # own; there the residual is single-signed, so a constant
-            # shift of its witness is exact for any larger weight
-            if charge != 0.0:
-                shift = math.copysign(lam - right.lam, charge)
-                candidates.append(right.sol.potentials + shift)
-            return
-        for known in probed:
-            if abs(lam - known) <= 1e-12 * max(1.0, known):
-                return
-        probed.add(lam)
-        candidates.append(scalarized_min(space, mu, lam).potentials)
-
-    for lam in support_lams:
-        add_aligned(lam)
-
-    def best_witness() -> tuple[LipschitzFunction, float]:
-        best_score, best_vals = -math.inf, None
-        for vals in candidates:
-            pr = float(vals @ mu.weights)
-            norm = lp_combine(_lip_const_values(space.dist, vals),
-                              float(np.abs(vals).max(initial=0.0)), pair.q)
-            if norm <= 1e-300:
-                continue
-            score = abs(pr) / norm
-            if score > best_score:
-                best_score = score
-                best_vals = math.copysign(1.0, pr) * vals / norm
-        if best_vals is None:
-            best_vals = np.zeros(space.n)
-        f_star = LipschitzFunction(space, best_vals)
-        return f_star, pairing(f_star, mu)
-
-    f_star, dual_value = best_witness()
-    gap = value - dual_value
-
-    for attempt in range(8):
-        if gap <= tol * scale:
-            break
-        lam_retry = _alignment_lambda(a, b, pair.p)
-        if lam_retry is None:
-            break
-        add_aligned(lam_retry * (1.0 + attempt * 1e-9))
-        f_star, dual_value = best_witness()
-        gap = value - dual_value
-
+    f_star = frontier_witness(vertex, lam, pair.q)
+    gap = value - pairing(f_star, mu)
     result = PkSolution(pair, value, xi, plan, a, b, table, f_star, gap)
-    if gap > tol * scale:
+    if gap > tol * max(1.0, value):
         raise ToleranceNotMet(
-            f"duality gap {gap} above {tol * scale}", result=result)
+            f"duality gap {gap} above {tol * max(1.0, value)}", result=result)
     return result
 
 
