@@ -109,7 +109,7 @@ def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
     comparison of candidates; the witness is read off the vertex that
     supports the winning weight, with no further flow solve.
     """
-    from .pknorm import frontier_witness, trace_frontier, vertex_at, vertices_of
+    from .pknorm import frontier_witness, trace_frontier, vertex_at
 
     q = check_q(q)
     if tol <= 0:
@@ -118,7 +118,7 @@ def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
     if tv_norm(mu) == 0.0:
         return DualSolution(LipschitzFunction(space, np.zeros(n)), 0.0, q, (0.0, 0.0))
 
-    verts = vertices_of(trace_frontier(space, mu))
+    verts = trace_frontier(space, mu)
 
     def price(lam: float) -> float:
         s, m = _budget(lam, q)

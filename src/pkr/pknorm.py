@@ -6,17 +6,17 @@ For a weight lam >= 0 the scalarized problem
 
 is a single min-cost flow on the space augmented with one virtual node v:
 moving mass to or from v costs lam (annihilation/creation), real pairs
-cost their distance, and the net charge of mu is absorbed at v. For one
-lam, ``scalarized_min`` solves it as a bipartite transportation problem
-in which a real pair costs min(d, 2 lam). As a transshipment its costs
-are affine in lam, so one parametric network simplex walk over lam
-visits every vertex of the convex trade-off curve of achievable
-(transport cost a, residual mass b) pairs; the norm for any p is the
-closed-form l^p minimum over that curve, with interior edge points
-realized by mixing the two adjacent vertex solutions. The dual witness
-of a point (a, b) is read off the same walk: the potentials f_lam of the
-vertex that supports it at the weight lam = (b / a)^(p - 1), rescaled
-onto the conjugate unit sphere.
+cost their distance, and the net charge of mu is absorbed at v. This is
+the graph of ``transport.solve_transportation``: ``scalarized_min``
+solves it at one lam, and since its costs are affine in lam, one
+parametric walk of the same network simplex over lam visits every vertex
+of the convex trade-off curve of achievable (transport cost a, residual
+mass b) pairs. The norm for any p is the closed-form l^p minimum over
+that curve, with interior edge points realized by mixing the two
+adjacent vertex solutions. The dual witness of a point (a, b) is read
+off the same walk: the potentials f_lam of the vertex that supports it
+at the weight lam = (b / a)^(p - 1), rescaled onto the conjugate unit
+sphere.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from .space import FiniteMetricSpace, SignedMeasure, is_zero_charge, total_charg
 from .transport import (
     TransportPlan,
     _TransportationSolver,
-    extend_potentials,
     kr_norm,
-    plan_cost,
+    plan_and_residual,
     solve_transportation,
+    virtual_node,
 )
 
 DEFAULT_TOL = 1e-8
@@ -58,14 +58,42 @@ class ScalarizedSolution:
 
 @dataclass(frozen=True)
 class _Walked:
-    """What every vertex of one traced frontier shares: the measure, the
-    atoms of its negative part (the walk's source rows) and of its positive
-    part (its sink columns), and the sign of its charge, 0 when it has none."""
+    """What every vertex of one measure's virtual-node graph shares: the
+    measure, the atoms of its negative part (the source rows) and of its
+    positive part (the sink columns), the sign of its charge (0 when it has
+    none), and by arc the distance of a real pair (0 on the virtual arcs)
+    and whether the arc annihilates or creates mass."""
 
     mu: SignedMeasure
     src: np.ndarray
     snk: np.ndarray
     sign: float
+    arc_dist: np.ndarray
+    resid_arc: np.ndarray
+
+    def vertex(self, lam: float, arcs: np.ndarray, mass: np.ndarray,
+               u: np.ndarray) -> FrontierPoint:
+        """The point of a solved tree: a sums mass times distance over the
+        transported flows, as ``plan_cost`` does, b the annihilated and
+        created mass."""
+        a = math.fsum((mass * self.arc_dist[arcs]).tolist())
+        b = math.fsum(mass[self.resid_arc[arcs]].tolist())
+        return FrontierPoint(lam, a, b, self, u, arcs, mass)
+
+
+def _graph(space: FiniteMetricSpace, mu: SignedMeasure):
+    """mu's virtual-node graph: what its vertices share, then the real
+    pair costs, the supplies and the demands to solve it with."""
+    src, snk, supplies, demands = virtual_node(mu)
+    m, n = len(src), len(snk)
+    costs = space.dist[np.ix_(src, snk)]
+    arc_dist = np.zeros((m + 1, n + 1))
+    arc_dist[:m, :n] = costs
+    resid_arc = np.zeros((m + 1, n + 1), dtype=bool)
+    resid_arc[:m, n] = resid_arc[m, :n] = True
+    sign = 0.0 if is_zero_charge(mu) else math.copysign(1.0, total_charge(mu))
+    walked = _Walked(mu, src, snk, sign, arc_dist.ravel(), resid_arc.ravel())
+    return walked, costs, supplies, demands
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,10 +101,11 @@ class FrontierPoint:
     """One trade-off vertex: the weight where it becomes optimal and the
     pair (a, b).
 
-    It keeps only the walk's source-row tree potentials u0 + lam * u1, as
-    u0 + 1j * u1, and its positive flows, by arc of the walk's
-    (sources + 1) x (sinks + 1) block; ``sol`` builds the plan, xi and the
-    potentials at ``lam`` each time it is read.
+    It keeps only the source-row tree potentials, u0 + 1j * u1 for
+    u0 + lam * u1 on a traced frontier (real for one ``scalarized_min``
+    solve), and its positive flows, by arc of the (sources + 1) x
+    (sinks + 1) graph; ``sol`` builds the plan, xi and the potentials at
+    ``lam`` each time it is read.
     """
 
     lam: float
@@ -126,17 +155,7 @@ class FrontierPoint:
         """The attaining solution at ``lam``, built anew on every read."""
         w = self.walked
         space = w.mu.space
-        m, n = len(w.src), len(w.snk)
-        rows, cols = np.divmod(self.arcs, n + 1)
-        real = (rows < m) & (cols < n)
-        entries = list(zip(w.src[rows[real]].tolist(), w.snk[cols[real]].tolist(),
-                           self.mass[real].tolist()))
-        plan = TransportPlan(space, tuple(entries))
-        # the residual mu - xi is the mass on the annihilation arcs
-        resid = np.zeros(space.n)
-        out, into = (rows < m) & (cols == n), (rows == m) & (cols < n)
-        resid[w.src[rows[out]]] = -self.mass[out]
-        resid[w.snk[cols[into]]] = self.mass[into]
+        plan, resid = plan_and_residual(space, w.src, w.snk, self.arcs, self.mass)
         xi = SignedMeasure(space, w.mu.weights - resid)
         return ScalarizedSolution(self.lam, xi, self.a, self.b, plan,
                                   self.potentials(self.lam), self.a + self.lam * self.b)
@@ -174,7 +193,8 @@ def scalarized_min(space: FiniteMetricSpace, mu: SignedMeasure,
     Returns the attaining zero-charge xi, its transport plan over real
     nodes, and node potentials f with lip(f) <= 1, sup(f) <= lam and
     pairing(f, mu) equal to the objective (the scalarized dual witness,
-    anchored so the virtual node sits at 0).
+    anchored so the virtual node sits at 0), read off one solve of the
+    virtual-node graph at min(lam, diameter) as a frontier vertex is.
     """
     if mu.space is not space:
         raise SpaceMismatch("measure belongs to a different space instance")
@@ -184,113 +204,31 @@ def scalarized_min(space: FiniteMetricSpace, mu: SignedMeasure,
     if math.isinf(lam):
         raise ValueError("lam must be finite")
 
-    n = space.n
-    w = mu.weights
     if tv_norm(mu) == 0.0:
         return _trivial_scalarized(space, lam)
-
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = np.minimum(space.dist, 2.0 * lam)
-    aug[:n, n] = lam
-    aug[n, :n] = lam
-    charge = total_charge(mu)
-    w_aug = np.append(w, -charge)
-
-    src = [i for i in range(n + 1) if w_aug[i] < 0.0]
-    snk = [j for j in range(n + 1) if w_aug[j] > 0.0]
-    supplies = np.array([-w_aug[i] for i in src])
-    demands = np.array([w_aug[j] for j in snk])
-    demands *= float(supplies.sum()) / float(demands.sum())
-
-    flows, u_src, _ = solve_transportation(aug[np.ix_(src, snk)], supplies, demands)
-
-    u_all = extend_potentials(aug, src, u_src)
-    f = u_all[:n] - u_all[n]
-
-    # flows through the virtual node, or over a pair farther apart than
-    # 2 lam, are annihilated at their source and created at their sink:
-    # they make up the residual mu - xi, and the rest is the plan
-    two_lam = 2.0 * lam
-    resid = np.zeros(n)
-    entries, resid_mass = [], []
-    for (i_loc, j_loc), mass in sorted(flows.items()):
-        i, j = src[i_loc], snk[j_loc]
-        if i < n and j < n and space.dist[i, j] <= two_lam:
-            entries.append((i, j, mass))
-            continue
-        if i < n:
-            resid[i] -= mass
-            resid_mass.append(mass)
-        if j < n:
-            resid[j] += mass
-            resid_mass.append(mass)
-    plan = TransportPlan(space, tuple(entries))
-    xi = SignedMeasure(space, w - resid)
-    a = plan_cost(space, plan)
-    b = math.fsum(resid_mass)
-    return ScalarizedSolution(lam, xi, a, b, plan, f, a + lam * b)
+    # past the diameter the last frontier vertex stays optimal
+    at = min(lam, space.diameter)
+    walked, costs, supplies, demands = _graph(space, mu)
+    vertex = walked.vertex(at, *solve_transportation(costs, supplies, demands, at))
+    sol = vertex.sol
+    if lam == at:
+        return sol
+    f, _ = vertex.witness(lam)
+    return ScalarizedSolution(lam, sol.xi, sol.a, sol.b, sol.plan, f, sol.a + lam * sol.b)
 
 
 class _FrontierWalk(_TransportationSolver):
     """Parametric network simplex over lam for the scalarized problem.
 
-    The scalarized problem is a transshipment through the virtual node,
-    split here into a source row and a sink column joined by a zero-cost
-    arc. Rows before the last are the atoms of the negative part of mu,
-    columns before the last those of the positive part, real pairs cost
-    their distance, and the arcs into the virtual column or out of the
-    virtual row (annihilation) cost lam. The virtual row supplies
-    TV(mu) + max(charge, 0), more than the real sinks can take, so the
-    joining arc always carries flow and both halves of the virtual node
-    share one potential.
-
-    Arc costs are c0 + lam * c1, and so are the tree potentials. Both are
-    kept as complex numbers c0 + 1j * c1: the base class's in-place tree
-    update only adds and subtracts arc costs, so it carries the two parts
-    at once, and the lam part stays an exact small integer. The walk
-    starts from the all-annihilation tree (every real source into the
-    virtual column, the virtual row into every real sink, the joining arc),
-    which carries flow on every arc and is therefore strongly feasible, and
-    which is optimal up to lam = min d / 2. Each step enters the non-tree
-    arc whose reduced cost rc0 + lam * rc1 reaches zero first, an arc
-    already negative at the current lam first of all, and pivots with the
-    base class's Cunningham leaving rule, so a breakpoint with many tied
-    pivots cannot cycle.
+    Built with lam = 1j, so arc costs and tree potentials are c0 + 1j * c1
+    for c0 + lam * c1 and the lam part stays an exact small integer. The
+    starting all-annihilation tree is optimal up to lam = min d / 2. Each
+    step enters the non-tree arc whose reduced cost rc0 + lam * rc1
+    reaches zero first, an arc already negative at the current lam first
+    of all, and pivots with the base class's Cunningham leaving rule, so a
+    breakpoint with many tied pivots cannot cycle (Gass & Saaty, *Naval
+    Res. Logist. Q.* 2, 1955, on the parametric objective).
     """
-
-    def __init__(self, costs: np.ndarray, supplies: np.ndarray, demands: np.ndarray):
-        m, n = costs.shape[0] + 1, costs.shape[1] + 1
-        self.m, self.n = m, n
-        self.pivots = 0
-        k = np.arange(m * n)
-        self.tail = (k // n).tolist()
-        self.head = (m + k % n).tolist()
-        cost = np.zeros((m, n), dtype=complex)
-        cost[:-1, :-1] = costs
-        cost[:-1, -1] = cost[-1, :-1] = 1j
-        self.cost = cost.ravel().tolist()
-
-        flow = np.zeros((m, n))
-        flow[:-1, -1] = supplies[:-1]
-        flow[-1, :-1] = demands[:-1]
-        flow[-1, -1] = supplies[-1] - float(demands[:-1].sum())
-        self.flow = flow.ravel().tolist()
-        in_tree = np.zeros((m, n), dtype=bool)
-        in_tree[:, -1] = in_tree[-1, :] = True
-        self.in_tree = in_tree.ravel()
-
-        # the virtual column is the root: every source hangs from it, every
-        # real sink from the virtual row
-        vrow, root = m - 1, m + n - 1
-        self.parent = [root] * m + [vrow] * (n - 1) + [-1]
-        self.parent_arc = list(range(n - 1, m * n, n)) + list(range(vrow * n, m * n - 1)) + [-1]
-        self.depth = [1] * m + [2] * (n - 1) + [0]
-        self.children = [[] for _ in range(m + n)]
-        self.children[vrow] = list(range(m, root))
-        self.children[root] = list(range(m))
-        self.u = np.zeros(m + n, dtype=complex)
-        self.u[:vrow] = -1j
-        self.u[m:root] = 1j
 
     def walk(self, lam_max: float):
         """Yield each lam, up to ``lam_max``, where the tree holds a new vertex.
@@ -299,10 +237,8 @@ class _FrontierWalk(_TransportationSolver):
         tree then stays optimal until the next yield. Breakpoints closer
         than 1e-12 * lam_max count as one.
         """
-        tail, head = np.array(self.tail), np.array(self.head)
-        cost = np.array(self.cost)
+        tail, head, cost = self.arrays
         tol = 1e-12 * lam_max
-        max_pivots = 200 * (len(tail) + self.m + self.n) + 1000
         lam, moved = 0.0, True
         while True:
             rc = cost + self.u[tail] - self.u[head]
@@ -320,13 +256,10 @@ class _FrontierWalk(_TransportationSolver):
                 if lam_e > lam_max:
                     break
                 lam = lam_e
-            if self.pivots == max_pivots:
-                raise self._failure("frontier walk", "network simplex pivot cap exceeded")
-            self._pivot(e)
-            self.pivots += 1
+            self._step(e, "frontier walk")
             # the entering arc now carries the step length
             moved = moved or self.flow[e] > 0.0
-        self._check_tree(self.m + self.n - 1)
+        self._check_tree()
 
 
 def trace_frontier(space: FiniteMetricSpace, mu: SignedMeasure) -> list[FrontierPoint]:
@@ -339,64 +272,16 @@ def trace_frontier(space: FiniteMetricSpace, mu: SignedMeasure) -> list[Frontier
     distance over its transported flows, as ``plan_cost`` sums it, and b =
     the sum of its annihilated and created mass.
     """
-    w = mu.weights
-    src, snk = np.flatnonzero(w < 0.0), np.flatnonzero(w > 0.0)
-    m, n = len(src), len(snk)
-    charge = total_charge(mu)
-    sign = 0.0 if is_zero_charge(mu) else math.copysign(1.0, charge)
-    walked = _Walked(mu, src, snk, sign)
-    tv = tv_norm(mu)
-    if tv == 0.0:
-        return [FrontierPoint(0.0, 0.0, 0.0, walked, np.zeros(0, dtype=complex),
-                              np.zeros(0, dtype=np.intp), np.zeros(0))]
-
-    costs = space.dist[np.ix_(src, snk)]
-    walk = _FrontierWalk(costs, np.append(-w[src], tv + max(charge, 0.0)),
-                         np.append(w[snk], tv + max(-charge, 0.0)))
-    # by arc of the walk: the distance of a real pair (0 on the virtual
-    # arcs), and whether the arc annihilates or creates mass
-    arc_dist = np.zeros((m + 1, n + 1))
-    arc_dist[:m, :n] = costs
-    resid_arc = np.zeros((m + 1, n + 1), dtype=bool)
-    resid_arc[:m, n] = resid_arc[m, :n] = True
-    arc_dist, resid_arc = arc_dist.ravel(), resid_arc.ravel()
-    points = []
-    for lam in walk.walk(space.diameter):
-        flow = np.array(walk.flow)
-        arcs = np.flatnonzero(flow > 0.0)
-        mass = flow[arcs]
-        a = math.fsum((mass * arc_dist[arcs]).tolist())
-        b = math.fsum(mass[resid_arc[arcs]].tolist())
-        points.append(FrontierPoint(lam, a, b, walked, walk.u[:m].copy(), arcs, mass))
-    return points
-
-
-def vertices_of(probes: list[FrontierPoint]) -> list[FrontierPoint]:
-    """Distinct trade-off points, sorted by transport cost.
-
-    Points closer than 1e-9 of the largest a and of the largest b merge,
-    a relative tolerance, so the result does not depend on the scales of
-    the metric and the weights.
-    """
-    if not probes:
-        return []
-    tv_scale = max(fp.b for fp in probes)
-    a_scale = max(fp.a for fp in probes)
-    out: list[FrontierPoint] = []
-    for fp in sorted(probes, key=lambda fp: (fp.a, -fp.b, fp.lam)):
-        if out and abs(fp.a - out[-1].a) <= 1e-9 * a_scale \
-                and abs(fp.b - out[-1].b) <= 1e-9 * tv_scale:
-            continue
-        out.append(fp)
-    return out
+    walked, costs, supplies, demands = _graph(space, mu)
+    walk = _FrontierWalk(costs, supplies, demands, 1j)
+    return [walked.vertex(lam, *walk.read()) for lam in walk.walk(space.diameter)]
 
 
 def _frontier_table(probes: list[FrontierPoint],
                     diameter: float) -> tuple[tuple[float, float, float], ...]:
     """One (lam, a, b) row per vertex, lam where it becomes optimal."""
     cap = diameter / 2.0
-    rows = [(min(fp.lam, cap), fp.a, fp.b) for fp in sorted(probes, key=lambda fp: fp.lam)]
-    return tuple(rows)
+    return tuple([(min(fp.lam, cap), fp.a, fp.b) for fp in probes])
 
 
 def pareto_frontier(space: FiniteMetricSpace, mu: SignedMeasure,
@@ -479,10 +364,8 @@ def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
     if tv_norm(mu) == 0.0:
         return _zero_solution(space, pair)
 
-    if probes is None:
-        probes = trace_frontier(space, mu)
-    table = _frontier_table(probes, space.diameter)
-    verts = vertices_of(probes)
+    verts = trace_frontier(space, mu) if probes is None else probes
+    table = _frontier_table(verts, space.diameter)
 
     if pair.p == 1.0:
         sol = scalarized_min(space, mu, 1.0)

@@ -1,12 +1,17 @@
 """Exact Kantorovich-Rubinstein transport via a primal network simplex.
 
-The solver works on the bipartite transportation graph between the atoms
-of the negative part (sources) and the positive part (sinks) of a
-zero-charge measure, rooted at an artificial node for the initial basis.
-By the triangle inequality this bipartite problem has the same optimum as
-the unrestricted divergence-constrained problem, so no relay or slack
-arcs are needed. The supplies are solved exactly as given: pivots run on
-a strongly feasible spanning tree, which cannot cycle.
+Every transport solve in the package is one transshipment through a
+virtual node: real pairs cost their distance, and moving mass into or
+out of the virtual node (annihilation or creation) costs a weight lam.
+The virtual node is split into a source row and a sink column joined by
+a zero-cost arc, so the graph is bipartite between the atoms of the
+negative part (sources) plus the virtual row and the atoms of the
+positive part (sinks) plus the virtual column. By the triangle
+inequality this bipartite problem has the same optimum as the
+unrestricted divergence-constrained problem, so no relay arcs are
+needed. ``kr_norm`` solves it at lam = diameter, where annihilating a
+unit at one atom and creating it at another costs more than moving it,
+so only the measure's own charge passes the virtual node.
 
 Orientation convention, fixed throughout the package: a plan entry
 (i, j, m) moves mass m from point i to point j, and divergence adds at j.
@@ -90,135 +95,123 @@ def plan_divergence(space: FiniteMetricSpace, plan: TransportPlan) -> SignedMeas
 
 
 class _TransportationSolver:
-    """Primal network simplex for one balanced transportation instance.
+    """Primal network simplex on the virtual-node graph of one measure.
 
-    The basis is a spanning tree over the sources, the sinks and an
-    artificial root. It is kept hung from the root as ``parent`` and
-    ``parent_arc`` links, node depths and per-node child lists, and it
-    starts as the star of big-M artificial arcs. A pivot finds the cycle
-    of the entering arc by climbing from both endpoints to their common
-    ancestor, the apex, which costs the cycle length. It then updates the
-    tree in place (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11):
-    the subtree below the leaving arc is detached, the parent links on the
-    path from the entering arc's endpoint up to that subtree's root are
-    reversed, and the subtree is re-hung on the entering arc. Depths and
-    potentials change only inside that subtree. They are recomputed there
-    top-down from the new parents, so every potential is the same sum
-    along its root path that a walk from the root would give, bit for bit.
+    Row i < m - 1 is a source, column j < n - 1 a sink, and the last row
+    and column are the two halves of the virtual node; arc k runs from
+    row k // n to column k % n. ``costs`` prices the real pairs, the arcs
+    into the virtual column or out of the virtual row cost ``lam``, the
+    joining arc 0. ``supplies`` and ``demands`` end with the virtual
+    row's and column's (see ``virtual_node``): the virtual row supplies
+    more than the real sinks can take, so the joining arc always carries
+    flow and both halves of the virtual node share one potential.
 
-    The entering arc has the most negative reduced cost, the lowest index
-    on ties. The leaving arc follows Cunningham's rule (*Math. Prog.* 11,
-    1976; AMO §11.5): it is the last arc that blocks the step on the cycle
-    walked in the entering arc's direction from the apex. The initial star
-    carries positive flow on every arc, so it is strongly feasible (every
-    zero-flow tree arc points toward the root), and the rule keeps it so,
-    which rules out cycling without perturbing the supplies. The final
-    basis is traversed once from the root to confirm that it is still a
-    spanning tree that agrees with the maintained links, and its flows are
-    re-solved from the balances, which drops the rounding of the pivots.
+    The basis is a spanning tree rooted at the virtual column, kept as
+    ``parent`` and ``parent_arc`` links, node depths and per-node child
+    lists. It starts as the all-annihilation tree (every source into the
+    virtual column, the virtual row into every sink, the joining arc),
+    which carries flow on every arc and is therefore strongly feasible:
+    every zero-flow tree arc points toward the root. A pivot finds the
+    cycle of the entering arc by climbing from both endpoints to their
+    common ancestor, the apex, which costs the cycle length. It then
+    updates the tree in place (Ahuja, Magnanti & Orlin, *Network Flows*,
+    1993, ch. 11): the subtree below the leaving arc is detached, the
+    parent links on the path from the entering arc's endpoint up to that
+    subtree's root are reversed, and the subtree is re-hung on the
+    entering arc. Depths and potentials change only inside that subtree.
+    They are recomputed there top-down from the new parents, so every
+    potential is the same sum along its root path that a walk from the
+    root would give, bit for bit.
+
+    The leaving arc follows Cunningham's rule (*Math. Prog.* 11, 1976;
+    AMO §11.5): it is the last arc that blocks the step on the cycle
+    walked in the entering arc's direction from the apex. The rule keeps
+    the tree strongly feasible, which rules out cycling without
+    perturbing the supplies, and it sets the leaving arc's flow to
+    f - f = 0.0 exactly, so only tree arcs ever carry flow.
+
+    ``lam`` is a number for one fixed weight (``solve``), or 1j for the
+    parametric walk: the in-place tree update only adds and subtracts arc
+    costs, so with lam = 1j it carries every cost and potential as
+    c0 + 1j * c1, whose value at the weight lam is c0 + lam * c1.
     """
 
-    def __init__(self, costs: np.ndarray, supplies: np.ndarray, demands: np.ndarray):
-        self.costs = np.asarray(costs, dtype=float)
-        self.supplies = np.asarray(supplies, dtype=float)
-        self.demands = np.asarray(demands, dtype=float)
-        self.m, self.n = self.costs.shape
-        if self.m != len(self.supplies) or self.n != len(self.demands):
-            raise ValueError("cost matrix shape must match supplies x demands")
+    def __init__(self, costs: np.ndarray, supplies: np.ndarray, demands: np.ndarray, lam):
+        m, n = costs.shape[0] + 1, costs.shape[1] + 1
+        if len(supplies) != m or len(demands) != n:
+            raise ValueError("supplies and demands must match the cost rows and columns "
+                             "plus the virtual node")
+        self.m, self.n, self.lam = m, n, lam
         self.pivots = 0
+        self.max_pivots = 200 * (m * n + m + n) + 1000
+        k = np.arange(m * n)
+        cost = np.full((m, n), lam)
+        cost[:-1, :-1] = costs
+        cost[-1, -1] = 0.0
+        # pricing runs on arrays, the scalar work of a pivot on lists
+        self.arrays = (k // n, m + k % n, cost.ravel())
+        self.tail, self.head, self.cost = (x.tolist() for x in self.arrays)
+
+        flow = np.zeros((m, n))
+        flow[:-1, -1] = supplies[:-1]
+        flow[-1, :-1] = demands[:-1]
+        flow[-1, -1] = supplies[-1] - float(demands[:-1].sum())
+        self.flow = flow.ravel().tolist()
+        in_tree = np.zeros((m, n), dtype=bool)
+        in_tree[:, -1] = in_tree[-1, :] = True
+        self.in_tree = in_tree.ravel()
+
+        # the virtual column is the root: every source hangs from it, every
+        # sink from the virtual row
+        vrow, root = m - 1, m + n - 1
+        self.parent = [root] * m + [vrow] * (n - 1) + [-1]
+        self.parent_arc = list(range(n - 1, m * n, n)) + list(range(vrow * n, m * n - 1)) + [-1]
+        self.depth = [1] * m + [2] * (n - 1) + [0]
+        self.children = [[] for _ in range(m + n)]
+        self.children[vrow] = list(range(m, root))
+        self.children[root] = list(range(m))
+        self.u = np.zeros(m + n, dtype=cost.dtype)
+        self.u[:vrow] = -lam
+        self.u[m:root] = lam
 
     def _failure(self, stage: str, what: str) -> NumericalFailure:
-        return NumericalFailure(f"{what} (stage: {stage}; m={self.m} sources, "
-                                f"n={self.n} sinks; {self.pivots} pivots)")
+        return NumericalFailure(f"{what} (stage: {stage}; m={self.m - 1} sources, "
+                                f"n={self.n - 1} sinks; {self.pivots} pivots)")
 
     def solve(self):
-        m, n = self.m, self.n
-        num_real = m * n
-        num_nodes = m + n + 1
-        root = m + n
+        """Pivot to an optimal tree at the fixed weight ``lam``.
 
-        cost_scale = max(1.0, float(self.costs.max(initial=0.0)))
-        # power of two so +-M cancels exactly in reduced costs
-        big_m = 2.0 ** math.ceil(math.log2(8.0 * (m + n + 2) * cost_scale))
-
-        tail = np.empty(num_real + m + n, dtype=np.int64)
-        head = np.empty_like(tail)
-        cost = np.empty(num_real + m + n, dtype=float)
-        k = np.arange(num_real)
-        tail[:num_real] = k // n
-        head[:num_real] = m + (k % n)
-        cost[:num_real] = self.costs.reshape(-1)
-        # artificial arcs: source -> root, then root -> sink
-        tail[num_real:], head[num_real:] = np.arange(m + n), root
-        tail[num_real + m:], head[num_real + m:] = root, np.arange(m, m + n)
-        cost[num_real:] = big_m
-
-        # scalar work per pivot runs on lists; pricing stays vectorized
-        self.tail, self.head, self.cost = tail.tolist(), head.tolist(), cost.tolist()
-        self.flow = [0.0] * num_real + self.supplies.tolist() + self.demands.tolist()
-        self.in_tree = in_tree = np.zeros(len(tail), dtype=bool)
-        in_tree[num_real:] = True
-
-        # initial basis: every node hangs from the root by its artificial arc
-        self.parent = [root] * (m + n) + [-1]
-        self.parent_arc = list(range(num_real, num_real + m + n)) + [-1]
-        self.depth = [1] * (m + n) + [0]
-        self.children = [[] for _ in range(m + n)] + [list(range(m + n))]
-        self.u = u = np.zeros(num_nodes)
-        u[:m] = -big_m
-        u[m:root] = big_m
-
-        pivot_tol = 1e-12 * cost_scale
-        max_pivots = 200 * (len(tail) + num_nodes) + 1000
+        The entering arc has the most negative reduced cost, the lowest
+        index on ties; reduced costs above -1e-12 * lam count as zero.
+        """
+        tail, head, cost = self.arrays
+        tol = 1e-12 * self.lam
         while True:
-            rc = cost + u[tail] - u[head]
-            rc[in_tree] = 0.0
+            rc = cost + self.u[tail] - self.u[head]
+            rc[self.in_tree] = 0.0
             e = int(np.argmin(rc))
-            if rc[e] >= -pivot_tol:
+            if rc[e] >= -tol:
                 break
-            if self.pivots == max_pivots:
-                raise self._failure("pivoting", "network simplex pivot cap exceeded")
-            self._pivot(e)
-            self.pivots += 1
-        self._check_tree(root)
+            self._step(e, "pivoting")
+        self._check_tree()
 
-        # de-perturbation: re-solve the optimal tree's flows from the exact
-        # balances, leaves first
-        balance = np.zeros(num_nodes)
-        balance[:m] = -self.supplies
-        balance[m:m + n] = self.demands
-        balance[root] = -float(balance[:m + n].sum())
-        depth, parent, parent_arc = self.depth, self.parent, self.parent_arc
-        order = sorted(range(m + n), key=lambda x: -depth[x])
-        resid = balance.copy()
-        exact = np.zeros(len(tail))
-        for x in order:
-            a = parent_arc[x]
-            p = parent[x]
-            if self.tail[a] == x:
-                f = -resid[x]
-                resid[p] -= f
-            else:
-                f = resid[x]
-                resid[p] += f
-            exact[a] = f
+    def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arcs that carry flow, in arc order, their flows, and the
+        source rows' potentials relative to the virtual node.
 
-        neg_tol = 1e-8 * max(1.0, float(self.supplies.sum()))
-        if float(exact.min(initial=0.0)) < -neg_tol:
-            raise self._failure("de-perturbation", "negative basic flow after de-perturbation")
-        exact = np.maximum(exact, 0.0)
-        exact[~in_tree] = 0.0
-        if float(exact[num_real:].max(initial=0.0)) > neg_tol:
-            raise self._failure("de-perturbation",
-                                "artificial arc carries mass: instance not balanced")
+        Only the m + n - 1 tree arcs are read: an arc leaves the tree with
+        exactly 0.0 and enters with it.
+        """
+        flow = self.flow
+        arcs = [a for a in sorted(self.parent_arc[:-1]) if flow[a] > 0.0]
+        return (np.array(arcs, dtype=np.intp), np.array([flow[a] for a in arcs]),
+                self.u[:self.m - 1].copy())
 
-        flows = {}
-        for a in range(num_real):
-            if exact[a] > 0.0:
-                flows[(int(tail[a]), int(head[a]) - m)] = float(exact[a])
-
-        u_src, u_snk = self._dual_potentials(flows)
-        return flows, u_src, u_snk
+    def _step(self, e, stage):
+        if self.pivots == self.max_pivots:
+            raise self._failure(stage, "network simplex pivot cap exceeded")
+        self._pivot(e)
+        self.pivots += 1
 
     def _pivot(self, e):
         tail, head, flow = self.tail, self.head, self.flow
@@ -295,8 +288,9 @@ class _TransportationSolver:
             # the root never moves, so a subtree has fewer nodes than the tree
             raise self._failure("pivoting", "basis lost spanning-tree property")
 
-    def _check_tree(self, root):
+    def _check_tree(self):
         """Confirm that every node hangs off the root through basic arcs."""
+        root = self.m + self.n - 1
         tail, head, in_tree = self.tail, self.head, self.in_tree
         parent, parent_arc, depth = self.parent, self.parent_arc, self.depth
         seen = [False] * len(parent)
@@ -314,64 +308,61 @@ class _TransportationSolver:
         if not all(seen) or int(in_tree.sum()) != len(seen) - 1:
             raise self._failure("final basis", "basis lost spanning-tree property")
 
-    def _dual_potentials(self, flows):
-        """Feasible, complementary-slack duals via Bellman-Ford relaxation.
 
-        The tree potentials carry +-big_m, whose rounding swamps the costs
-        of a metric at small scale, so the duals are rebuilt from the costs
-        and the optimal flow alone: every arc enforces u_snk[j] <= u_src[i]
-        + c[i, j], and every support pair also the reverse, forcing equality.
-        A round relaxes all arcs into the sinks by one column min, then the
-        support pairs back into the sources by one row min.
-        """
-        m, n = self.m, self.n
-        c = self.costs
-        rows, cols = np.array(list(flows), dtype=np.intp).reshape(-1, 2).T
-        back = -c[rows, cols]
+def virtual_node(mu: SignedMeasure):
+    """Sources, sinks, supplies and demands of mu's virtual-node graph.
 
-        scale = max(1.0, float(c.max(initial=0.0)))
-        tol_relax = 1e-13 * scale
-        u_src, u_snk = np.zeros(m), np.zeros(n)
-        for _ in range(m + n + 1):
-            into_snk = (u_src[:, None] + c).min(axis=0)
-            lower_snk = into_snk < u_snk - tol_relax
-            u_snk = np.where(lower_snk, into_snk, u_snk)
-            into_src = np.full(m, np.inf)
-            np.minimum.at(into_src, rows, u_snk[cols] + back)
-            lower_src = into_src < u_src - tol_relax
-            u_src = np.where(lower_src, into_src, u_src)
-            if not (lower_snk.any() or lower_src.any()):
-                break
-        worst = min(float((u_src[:, None] + c - u_snk).min(initial=0.0)),
-                    float((u_snk[cols] + back - u_src[rows]).min(initial=0.0)))
-        if worst < -1e-6 * scale:
-            raise self._failure("dual extraction", "dual extraction found a negative cycle")
-        return u_src, u_snk
-
-
-def solve_transportation(costs, supplies, demands):
-    """Balanced transportation problem; returns (flows, u_src, u_snk).
-
-    ``flows`` maps (source row, sink column) to positive mass; the duals
-    satisfy u_snk[j] - u_src[i] <= costs[i, j] with equality on flows.
+    Sources are the atoms of the negative part, sinks those of the
+    positive part, each in index order. The virtual row supplies
+    TV(mu) + max(charge, 0) and the virtual column takes
+    TV(mu) + max(-charge, 0). This is the one place that decides where
+    the charge of mu goes, its rounding included: all of it passes the
+    virtual node, priced at the weight of the solve like any annihilated
+    or created mass. ``kr_norm`` leaves it out of the transport cost.
     """
-    return _TransportationSolver(np.asarray(costs, dtype=float),
-                                 np.asarray(supplies, dtype=float),
-                                 np.asarray(demands, dtype=float)).solve()
+    w = mu.weights
+    src, snk = np.flatnonzero(w < 0.0), np.flatnonzero(w > 0.0)
+    tv, charge = tv_norm(mu), total_charge(mu)
+    return (src, snk, np.append(-w[src], tv + max(charge, 0.0)),
+            np.append(w[snk], tv + max(-charge, 0.0)))
 
 
-def extend_potentials(dist: np.ndarray, src_indices, u_src) -> np.ndarray:
-    """McShane extension of source potentials to every point.
+def solve_transportation(costs, supplies, demands, lam):
+    """Min-cost flow on the virtual-node graph at the weight ``lam``.
 
-    f(x) = min_i (u_src[i] + d(x, src_i)) is 1-Lipschitz for the metric
-    and agrees with the optimal duals on every atom that carries flow, so
-    it preserves complementary slackness and strong duality.
+    ``costs`` prices the real pairs (sources x sinks); ``supplies`` and
+    ``demands`` are arrays that end with the virtual node's, as
+    ``virtual_node`` builds them. Returns the arcs of the (sources + 1) x
+    (sinks + 1) graph that carry flow, in arc order, their flows, and the
+    source rows' potentials relative to the virtual node: every arc's head
+    potential exceeds its tail's by at most its cost, with equality on
+    arcs that carry flow.
     """
-    n = dist.shape[0]
-    if len(src_indices) == 0:
-        return np.zeros(n)
-    cols = dist[:, list(src_indices)] + np.asarray(u_src, dtype=float)[None, :]
-    return cols.min(axis=1)
+    solver = _TransportationSolver(np.asarray(costs, dtype=float), supplies, demands, float(lam))
+    solver.solve()
+    return solver.read()
+
+
+def plan_and_residual(space: FiniteMetricSpace, src: np.ndarray, snk: np.ndarray,
+                      arcs: np.ndarray, mass: np.ndarray):
+    """The transport plan and the residual mu - xi of a solve's flows.
+
+    The flows on real pairs make up the plan; those out of a source into
+    the virtual column (annihilation) or from the virtual row into a sink
+    (creation) make up the residual.
+    """
+    m, n = len(src), len(snk)
+    rows, cols = np.divmod(arcs, n + 1)
+    real = (rows < m) & (cols < n)
+    # from a list, not an iterator: CPython then sizes the tuple exactly and
+    # reuses freed tuples instead of filling up the free list of each length
+    entries = list(zip(src[rows[real]].tolist(), snk[cols[real]].tolist(), mass[real].tolist()))
+    plan = TransportPlan(space, tuple(entries))
+    resid = np.zeros(space.n)
+    out, into = (rows < m) & (cols == n), (rows == m) & (cols < n)
+    resid[src[rows[out]]] = -mass[out]
+    resid[snk[cols[into]]] = mass[into]
+    return plan, resid
 
 
 def kr_norm(space: FiniteMetricSpace, xi: SignedMeasure) -> FlowResult:
@@ -380,33 +371,25 @@ def kr_norm(space: FiniteMetricSpace, xi: SignedMeasure) -> FlowResult:
     Returns the exact minimum of sum(d * plan) over plans whose divergence
     is ``xi``, an attaining plan, and 1-Lipschitz node potentials with
     sum(potentials * xi) equal to the cost. Potentials are shifted so the
-    lowest-index support point sits at 0.
+    lowest-index support point sits at 0. The rounding charge of ``xi``
+    is not transported (see ``virtual_node``).
     """
     if xi.space is not space:
         raise ValueError("measure belongs to a different space instance")
-    w = xi.weights
     tv = tv_norm(xi)
     if abs(total_charge(xi)) > CHARGE_REL_TOL * max(1.0, tv):
         raise NonZeroCharge(f"total charge {total_charge(xi)} != 0")
 
-    src_idx = [i for i in range(space.n) if w[i] < 0.0]
-    snk_idx = [j for j in range(space.n) if w[j] > 0.0]
-    if not src_idx or not snk_idx:
+    src, snk, supplies, demands = virtual_node(xi)
+    if not len(src) or not len(snk):
         return FlowResult(0.0, TransportPlan(space, ()), np.zeros(space.n))
-
-    supplies = np.array([-w[i] for i in src_idx])
-    demands = np.array([w[j] for j in snk_idx])
-    demands *= float(supplies.sum()) / float(demands.sum())
-    costs = space.dist[np.ix_(src_idx, snk_idx)]
-
-    flows, u_src, u_snk = solve_transportation(costs, supplies, demands)
-
-    entries = sorted((src_idx[i], snk_idx[j], f) for (i, j), f in flows.items())
-    plan = TransportPlan(space, tuple(entries))
-    cost = plan_cost(space, plan)
-
-    pot = extend_potentials(space.dist, src_idx, u_src)
+    arcs, mass, u_src = solve_transportation(space.dist[np.ix_(src, snk)], supplies,
+                                             demands, space.diameter)
+    plan, _ = plan_and_residual(space, src, snk, arcs, mass)
+    # McShane extension of the source potentials: 1-Lipschitz, and equal
+    # to the optimal duals on every atom that carries flow
+    pot = (space.dist[:, src] + u_src).min(axis=1)
     sup = support(xi)
     if sup:
         pot = pot - pot[sup[0]]
-    return FlowResult(cost, plan, pot)
+    return FlowResult(plan_cost(space, plan), plan, pot)

@@ -179,7 +179,7 @@ class TestDualSolve:
         # the search dual_solve used before the closed-form crossing, kept
         # here as the reference: an 80-step bisection per pair of adjacent
         # vertices and a 150-step golden-section search over the budget
-        from pkr.pknorm import trace_frontier, vertices_of
+        from pkr.pknorm import trace_frontier
 
         def budget(s, q):
             s = min(max(s, 0.0), 1.0)
@@ -227,7 +227,7 @@ class TestDualSolve:
             hi = float(rng.choice([1.0, 10.0]))
             sp = shortest_path_space(rng, int(rng.integers(2, 17)), 0.1 * hi, hi)
             mu = random_measure(rng, sp)
-            ab = [(v.a, v.b) for v in vertices_of(trace_frontier(sp, mu))]
+            ab = [(v.a, v.b) for v in trace_frontier(sp, mu)]
             for q in (1.0, 1.5, 2.0, 3.0):
                 def value_at(s):
                     s, m = budget(s, q)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_measure, shortest_path_space
+from conftest import random_measure, shortest_path_space, zero_charge_measure
 from pkr.errors import InvalidP, NegativeLambda, SpaceMismatch
 from pkr.holder import HolderPair, conjugate_exponent, lp_combine
 from pkr.lipschitz import ql_norm
@@ -93,6 +93,37 @@ class TestScalarized:
             scaled = FiniteMetricSpace(sp.labels, sp.dist / lam)
             val = oracle_pk(scaled, SignedMeasure(scaled, mu.weights), 1.0)
             assert lam * val == pytest.approx(sol.objective, abs=2e-3 * max(1, lam))
+
+
+def _scalarized_linprog(space, mu, lam):
+    """min d . x + lam * (r+ + r-) subject to div(x) + r+ - r- = mu, by HiGHS:
+    the plan x over every ordered pair, r+ - r- the residual mu - xi."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n = space.n
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    a_eq = np.zeros((n, len(i) + 2 * n))
+    a_eq[j, np.arange(len(i))] += 1.0
+    a_eq[i, np.arange(len(i))] -= 1.0
+    a_eq[:, len(i):len(i) + n] = np.eye(n)
+    a_eq[:, len(i) + n:] = -np.eye(n)
+    c = np.concatenate([space.dist[i, j], np.full(2 * n, lam)])
+    res = optimize.linprog(c, A_eq=a_eq, b_eq=mu.weights, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestScalarizedAgainstLinprog:
+    @pytest.mark.parametrize("n", [5, 20, 40, 60])
+    @pytest.mark.parametrize("measure", [random_measure, zero_charge_measure])
+    def test_objectives_agree(self, n, measure):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(2):
+            sp = shortest_path_space(rng, n)
+            mu = measure(rng, sp)
+            for lam in rng.uniform(0.0, 1.5 * sp.diameter, 4):
+                sol = scalarized_min(sp, mu, lam)
+                assert sol.objective == pytest.approx(
+                    _scalarized_linprog(sp, mu, lam), rel=1e-9, abs=0.0)
 
 
 class TestFrontier:

@@ -143,17 +143,32 @@ class TestKrInvariants:
 
 
 class TestSolverFailures:
-    def test_failure_names_stage_sizes_and_pivots(self):
-        # supply 1 against demand 2 leaves mass on an artificial arc
+    def test_failure_names_stage_sizes_and_pivots(self, monkeypatch):
+        pivot = _TransportationSolver._pivot
+
+        def corrupting_pivot(solver, e):
+            pivot(solver, e)
+            # an arc marked basic that is not in the tree: the final
+            # spanning-tree check must catch it
+            solver.in_tree[int(np.argmin(solver.in_tree))] = True
+
+        monkeypatch.setattr(_TransportationSolver, "_pivot", corrupting_pivot)
+        sp = _integer_line(5)
+        xi = SignedMeasure(sp, np.array([2.0, -1.0, -1.0, 1.0, -1.0]))
         with pytest.raises(NumericalFailure,
-                           match=r"stage: de-perturbation; m=1 sources, n=2 sinks; 2 pivots"):
-            solve_transportation(np.array([[1.0, 2.0]]), np.array([1.0]), np.array([1.0, 1.0]))
+                           match=r"stage: final basis; m=3 sources, n=2 sinks; 4 pivots"):
+            kr_norm(sp, xi)
+
+    def test_supplies_must_match_the_graph(self):
+        with pytest.raises(ValueError):
+            solve_transportation(np.array([[1.0, 2.0]]), np.array([1.0]),
+                                 np.array([1.0, 1.0]), 1.0)
 
 
 class TestKrBeyondOracleCap:
     """Certificates at sizes the brute-force oracles (ATOM_CAP) cannot reach."""
 
-    @pytest.mark.parametrize("n", [40, 80])
+    @pytest.mark.parametrize("n", [40, 80, 200])
     def test_kr_certified_at_scale(self, n):
         rng = np.random.default_rng(100 + n)
         sp = shortest_path_space(rng, n)
