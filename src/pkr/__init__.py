@@ -20,7 +20,6 @@ from .lipschitz import (
     ql_norm,
     sup_norm,
 )
-from .oracle import RationalMeasure, oracle_dual, oracle_kr, oracle_pk
 from .pknorm import (
     PkSolution,
     ScalarizedSolution,
@@ -53,7 +52,6 @@ __all__ = [
     "LipschitzFunction",
     "PkrError",
     "PkSolution",
-    "RationalMeasure",
     "ScalarizedSolution",
     "SignedMeasure",
     "TransportPlan",
@@ -69,9 +67,6 @@ __all__ = [
     "lip_const",
     "lip_product",
     "lp_combine",
-    "oracle_dual",
-    "oracle_kr",
-    "oracle_pk",
     "pairing",
     "pareto_frontier",
     "pk_dist",

@@ -6,9 +6,11 @@ For a weight lam >= 0 the scalarized problem
 
 is a single min-cost flow on the space augmented with one virtual node v:
 moving mass to or from v costs lam (annihilation/creation), real pairs
-cost their distance, and the net charge of mu is absorbed at v. This is
-the graph of ``transport.solve_transportation``: ``scalarized_min``
-solves it at one lam, and since its costs are affine in lam, one
+cost their distance, and the net charge of mu is absorbed at v. That
+graph, its solves and the reading of (a, b), plans, residuals and
+potentials off a solved tree all belong to ``transport``; this module
+only picks the weights and builds the results. ``scalarized_min`` solves
+the graph at one lam, and since its costs are affine in lam, one
 parametric walk of the same network simplex over lam visits every vertex
 of the convex trade-off curve of achievable (transport cost a, residual
 mass b) pairs. The norm for any p is the closed-form l^p minimum over
@@ -30,14 +32,13 @@ import numpy as np
 from .errors import NegativeLambda, SpaceMismatch, ToleranceNotMet
 from .holder import HolderPair, aligned_weight, lp_combine
 from .lipschitz import LipschitzFunction, _lip_const_values, pairing
-from .space import FiniteMetricSpace, SignedMeasure, is_zero_charge, total_charge, tv_norm
+from .space import FiniteMetricSpace, SignedMeasure, tv_norm
 from .transport import (
     TransportPlan,
+    _Graph,
     _TransportationSolver,
     kr_norm,
-    plan_and_residual,
     solve_transportation,
-    virtual_node,
 )
 
 DEFAULT_TOL = 1e-8
@@ -56,46 +57,6 @@ class ScalarizedSolution:
     objective: float
 
 
-@dataclass(frozen=True)
-class _Walked:
-    """What every vertex of one measure's virtual-node graph shares: the
-    measure, the atoms of its negative part (the source rows) and of its
-    positive part (the sink columns), the sign of its charge (0 when it has
-    none), and by arc the distance of a real pair (0 on the virtual arcs)
-    and whether the arc annihilates or creates mass."""
-
-    mu: SignedMeasure
-    src: np.ndarray
-    snk: np.ndarray
-    sign: float
-    arc_dist: np.ndarray
-    resid_arc: np.ndarray
-
-    def vertex(self, lam: float, arcs: np.ndarray, mass: np.ndarray,
-               u: np.ndarray) -> FrontierPoint:
-        """The point of a solved tree: a sums mass times distance over the
-        transported flows, as ``plan_cost`` does, b the annihilated and
-        created mass."""
-        a = math.fsum((mass * self.arc_dist[arcs]).tolist())
-        b = math.fsum(mass[self.resid_arc[arcs]].tolist())
-        return FrontierPoint(lam, a, b, self, u, arcs, mass)
-
-
-def _graph(space: FiniteMetricSpace, mu: SignedMeasure):
-    """mu's virtual-node graph: what its vertices share, then the real
-    pair costs, the supplies and the demands to solve it with."""
-    src, snk, supplies, demands = virtual_node(mu)
-    m, n = len(src), len(snk)
-    costs = space.dist[np.ix_(src, snk)]
-    arc_dist = np.zeros((m + 1, n + 1))
-    arc_dist[:m, :n] = costs
-    resid_arc = np.zeros((m + 1, n + 1), dtype=bool)
-    resid_arc[:m, n] = resid_arc[m, :n] = True
-    sign = 0.0 if is_zero_charge(mu) else math.copysign(1.0, total_charge(mu))
-    walked = _Walked(mu, src, snk, sign, arc_dist.ravel(), resid_arc.ravel())
-    return walked, costs, supplies, demands
-
-
 @dataclass(frozen=True, slots=True)
 class FrontierPoint:
     """One trade-off vertex: the weight where it becomes optimal and the
@@ -111,22 +72,24 @@ class FrontierPoint:
     lam: float
     a: float
     b: float
-    walked: _Walked = field(repr=False, compare=False)
+    graph: _Graph = field(repr=False, compare=False)
     u: np.ndarray = field(repr=False, compare=False)
     arcs: np.ndarray = field(repr=False, compare=False)
     mass: np.ndarray = field(repr=False, compare=False)
 
-    def potentials(self, lam: float) -> np.ndarray:
-        """McShane extension of the source potentials at ``lam``, capped at lam.
+    @classmethod
+    def read(cls, graph: _Graph, lam: float, arcs: np.ndarray, mass: np.ndarray,
+             u: np.ndarray) -> FrontierPoint:
+        """The vertex of a tree of ``graph`` solved at ``lam``."""
+        return cls(lam, *graph.ab(arcs, mass), graph, u, arcs, mass)
 
-        It is 1-Lipschitz, its sup is at most lam, and for lam in this
-        vertex's interval it equals the optimal duals (relative to the
-        virtual node) on every atom that carries flow, so it pairs with mu
-        to a + lam * b.
+    def potentials(self, lam: float) -> np.ndarray:
+        """The tree potentials at ``lam``, extended and capped at lam.
+
+        Their sup is at most lam, and for lam in this vertex's interval
+        they pair with mu to a + lam * b.
         """
-        w = self.walked
-        u_src = self.u.real + lam * self.u.imag
-        return (w.mu.space.dist[:, w.src] + u_src).min(axis=1, initial=lam)
+        return self.graph.potentials(self.u.real + lam * self.u.imag, lam)
 
     def witness(self, lam: float) -> tuple[np.ndarray, float]:
         """Potentials f of weight ``lam``, in this vertex's interval, and their slope.
@@ -138,25 +101,24 @@ class FrontierPoint:
         residual there and gets no shift); lam = inf leaves the constant
         sign(charge).
         """
-        w = self.walked
-        space = w.mu.space
+        graph = self.graph
+        space = graph.mu.space
         if math.isinf(lam):
-            return np.full(space.n, w.sign), 0.0
+            return np.full(space.n, graph.sign), 0.0
         vals = self.potentials(min(lam, space.diameter))
         # the slope before the shift: the shift leaves it unchanged, but a
         # large one rounds away the low-order bits of the differences
         lip = _lip_const_values(space.dist, vals)
         if lam > space.diameter:
-            vals = vals + w.sign * (lam - space.diameter)
+            vals = vals + graph.sign * (lam - space.diameter)
         return vals, lip
 
     @property
     def sol(self) -> ScalarizedSolution:
         """The attaining solution at ``lam``, built anew on every read."""
-        w = self.walked
-        space = w.mu.space
-        plan, resid = plan_and_residual(space, w.src, w.snk, self.arcs, self.mass)
-        xi = SignedMeasure(space, w.mu.weights - resid)
+        mu = self.graph.mu
+        plan, resid = self.graph.plan_and_residual(self.arcs, self.mass)
+        xi = SignedMeasure(mu.space, mu.weights - resid)
         return ScalarizedSolution(self.lam, xi, self.a, self.b, plan,
                                   self.potentials(self.lam), self.a + self.lam * self.b)
 
@@ -180,12 +142,6 @@ class PkSolution:
         return self.pair.p
 
 
-def _trivial_scalarized(space: FiniteMetricSpace, lam: float) -> ScalarizedSolution:
-    zero = SignedMeasure(space, np.zeros(space.n))
-    return ScalarizedSolution(lam, zero, 0.0, 0.0, TransportPlan(space, ()),
-                              np.zeros(space.n), 0.0)
-
-
 def scalarized_min(space: FiniteMetricSpace, mu: SignedMeasure,
                    lam: float) -> ScalarizedSolution:
     """One supporting-line probe of the transport/annihilation trade-off.
@@ -204,62 +160,16 @@ def scalarized_min(space: FiniteMetricSpace, mu: SignedMeasure,
     if math.isinf(lam):
         raise ValueError("lam must be finite")
 
-    if tv_norm(mu) == 0.0:
-        return _trivial_scalarized(space, lam)
     # past the diameter the last frontier vertex stays optimal
     at = min(lam, space.diameter)
-    walked, costs, supplies, demands = _graph(space, mu)
-    vertex = walked.vertex(at, *solve_transportation(costs, supplies, demands, at))
+    graph = _Graph.of(mu)
+    vertex = FrontierPoint.read(graph, at, *solve_transportation(
+        graph.costs, graph.supplies, graph.demands, at))
     sol = vertex.sol
     if lam == at:
         return sol
     f, _ = vertex.witness(lam)
     return ScalarizedSolution(lam, sol.xi, sol.a, sol.b, sol.plan, f, sol.a + lam * sol.b)
-
-
-class _FrontierWalk(_TransportationSolver):
-    """Parametric network simplex over lam for the scalarized problem.
-
-    Built with lam = 1j, so arc costs and tree potentials are c0 + 1j * c1
-    for c0 + lam * c1 and the lam part stays an exact small integer. The
-    starting all-annihilation tree is optimal up to lam = min d / 2. Each
-    step enters the non-tree arc whose reduced cost rc0 + lam * rc1
-    reaches zero first, an arc already negative at the current lam first
-    of all, and pivots with the base class's Cunningham leaving rule, so a
-    breakpoint with many tied pivots cannot cycle (Gass & Saaty, *Naval
-    Res. Logist. Q.* 2, 1955, on the parametric objective).
-    """
-
-    def walk(self, lam_max: float):
-        """Yield each lam, up to ``lam_max``, where the tree holds a new vertex.
-
-        A vertex is yielded after the last pivot at its breakpoint, so the
-        tree then stays optimal until the next yield. Breakpoints closer
-        than 1e-12 * lam_max count as one.
-        """
-        tail, head, cost = self.arrays
-        tol = 1e-12 * lam_max
-        lam, moved = 0.0, True
-        while True:
-            rc = cost + self.u[tail] - self.u[head]
-            ready = (rc.imag < 0.0) & ~self.in_tree
-            e, lam_e = -1, math.inf
-            if ready.any():
-                cross = np.full(len(tail), math.inf)
-                cross[ready] = rc.real[ready] / -rc.imag[ready]
-                e = int(np.argmin(cross))
-                lam_e = float(cross[e])
-            if lam_e > lam + tol:
-                if moved:
-                    yield lam
-                    moved = False
-                if lam_e > lam_max:
-                    break
-                lam = lam_e
-            self._step(e, "frontier walk")
-            # the entering arc now carries the step length
-            moved = moved or self.flow[e] > 0.0
-        self._check_tree()
 
 
 def trace_frontier(space: FiniteMetricSpace, mu: SignedMeasure) -> list[FrontierPoint]:
@@ -272,9 +182,9 @@ def trace_frontier(space: FiniteMetricSpace, mu: SignedMeasure) -> list[Frontier
     distance over its transported flows, as ``plan_cost`` sums it, and b =
     the sum of its annihilated and created mass.
     """
-    walked, costs, supplies, demands = _graph(space, mu)
-    walk = _FrontierWalk(costs, supplies, demands, 1j)
-    return [walked.vertex(lam, *walk.read()) for lam in walk.walk(space.diameter)]
+    graph = _Graph.of(mu)
+    walk = _TransportationSolver(graph.costs, graph.supplies, graph.demands, 1j)
+    return [FrontierPoint.read(graph, lam, *walk.read()) for lam in walk.walk(space.diameter)]
 
 
 def _frontier_table(probes: list[FrontierPoint],
@@ -323,12 +233,13 @@ def _edge_interior_argmin(v0: FrontierPoint, v1: FrontierPoint,
 def frontier_witness(vertex: FrontierPoint, lam: float, q: float) -> LipschitzFunction:
     """The weight-``lam`` dual witness of a vertex, on the conjugate unit sphere:
     ``vertex.witness(lam)`` divided by the l^q combination of its own slope
-    and height."""
+    and height. Only the zero measure has a witness of norm 0; it gets the
+    constant 1, which lies on every conjugate unit sphere."""
     vals, lip = vertex.witness(lam)
-    space = vertex.walked.mu.space
+    space = vertex.graph.mu.space
     norm = lp_combine(lip, float(np.abs(vals).max(initial=0.0)), q)
     if norm == 0.0:
-        return LipschitzFunction(space, np.zeros(space.n))
+        return LipschitzFunction(space, np.ones(space.n))
     return LipschitzFunction(space, vals / norm)
 
 
@@ -336,13 +247,6 @@ def vertex_at(verts: list[FrontierPoint], lam: float) -> FrontierPoint:
     """The vertex whose interval [lam_k, lam_k+1] holds ``lam``."""
     k = bisect.bisect_right([v.lam for v in verts], lam) - 1
     return verts[max(k, 0)]
-
-
-def _zero_solution(space: FiniteMetricSpace, pair: HolderPair) -> PkSolution:
-    zero = SignedMeasure(space, np.zeros(space.n))
-    return PkSolution(pair, 0.0, zero, TransportPlan(space, ()), 0.0, 0.0,
-                      ((0.0, 0.0, 0.0),),
-                      LipschitzFunction(space, np.zeros(space.n)), 0.0)
 
 
 def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
@@ -361,8 +265,6 @@ def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
         raise ValueError("tol must be positive")
     if mu.space is not space:
         raise SpaceMismatch("measure belongs to a different space instance")
-    if tv_norm(mu) == 0.0:
-        return _zero_solution(space, pair)
 
     verts = trace_frontier(space, mu) if probes is None else probes
     table = _frontier_table(verts, space.diameter)

@@ -241,7 +241,3 @@ def support(mu: SignedMeasure, tol: float = SUPPORT_REL_TOL) -> list[int]:
         raise ValueError("tol must be nonnegative")
     cut = tol * max(1.0, tv_norm(mu))
     return [i for i, x in enumerate(mu.weights) if abs(float(x)) > cut]
-
-
-def is_zero_charge(mu: SignedMeasure, tol: float = DEFAULT_METRIC_TOL) -> bool:
-    return abs(total_charge(mu)) <= tol * max(1.0, tv_norm(mu))

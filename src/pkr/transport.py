@@ -9,9 +9,12 @@ negative part (sources) plus the virtual row and the atoms of the
 positive part (sinks) plus the virtual column. By the triangle
 inequality this bipartite problem has the same optimum as the
 unrestricted divergence-constrained problem, so no relay arcs are
-needed. ``kr_norm`` solves it at lam = diameter, where annihilating a
-unit at one atom and creating it at another costs more than moving it,
-so only the measure's own charge passes the virtual node.
+needed. This module owns that graph: ``_Graph`` builds it once per
+measure and reads every solved tree of it, whether from one solve at a
+fixed lam or from the parametric walk over lam. ``kr_norm`` solves it at
+lam = diameter, where annihilating a unit at one atom and creating it at
+another costs more than moving it, so only the measure's own charge
+passes the virtual node.
 
 Orientation convention, fixed throughout the package: a plan entry
 (i, j, m) moves mass m from point i to point j, and divergence adds at j.
@@ -33,8 +36,6 @@ from .space import (
     SignedMeasure,
     _frozen_array,
     support,
-    total_charge,
-    tv_norm,
 )
 
 CHARGE_REL_TOL = 1e-9
@@ -102,7 +103,7 @@ class _TransportationSolver:
     row k // n to column k % n. ``costs`` prices the real pairs, the arcs
     into the virtual column or out of the virtual row cost ``lam``, the
     joining arc 0. ``supplies`` and ``demands`` end with the virtual
-    row's and column's (see ``virtual_node``): the virtual row supplies
+    row's and column's (see ``_Graph``): the virtual row supplies
     more than the real sinks can take, so the joining arc always carries
     flow and both halves of the virtual node share one potential.
 
@@ -131,9 +132,10 @@ class _TransportationSolver:
     f - f = 0.0 exactly, so only tree arcs ever carry flow.
 
     ``lam`` is a number for one fixed weight (``solve``), or 1j for the
-    parametric walk: the in-place tree update only adds and subtracts arc
-    costs, so with lam = 1j it carries every cost and potential as
-    c0 + 1j * c1, whose value at the weight lam is c0 + lam * c1.
+    parametric walk over the weight (``walk``): the in-place tree update
+    only adds and subtracts arc costs, so with lam = 1j it carries every
+    cost and potential as c0 + 1j * c1, whose value at the weight lam is
+    c0 + lam * c1, and the lam part stays an exact small integer.
     """
 
     def __init__(self, costs: np.ndarray, supplies: np.ndarray, demands: np.ndarray, lam):
@@ -193,6 +195,42 @@ class _TransportationSolver:
             if rc[e] >= -tol:
                 break
             self._step(e, "pivoting")
+        self._check_tree()
+
+    def walk(self, lam_max: float):
+        """Yield each lam, up to ``lam_max``, where the tree holds a new vertex.
+
+        For lam = 1j, from the all-annihilation tree, optimal up to
+        lam = min d / 2. Each step enters the non-tree arc whose reduced
+        cost rc0 + lam * rc1 reaches zero first, one already negative first
+        of all; Cunningham's rule keeps a breakpoint with many tied pivots
+        from cycling (Gass & Saaty, *Naval Res. Logist. Q.* 2, 1955). A
+        vertex is yielded after the last pivot at its breakpoint, so the
+        tree stays optimal until the next yield. Breakpoints closer than
+        1e-12 * lam_max count as one.
+        """
+        tail, head, cost = self.arrays
+        tol = 1e-12 * lam_max
+        lam, moved = 0.0, True
+        while True:
+            rc = cost + self.u[tail] - self.u[head]
+            ready = (rc.imag < 0.0) & ~self.in_tree
+            e, lam_e = -1, math.inf
+            if ready.any():
+                cross = np.full(len(tail), math.inf)
+                cross[ready] = rc.real[ready] / -rc.imag[ready]
+                e = int(np.argmin(cross))
+                lam_e = float(cross[e])
+            if lam_e > lam + tol:
+                if moved:
+                    yield lam
+                    moved = False
+                if lam_e > lam_max:
+                    break
+                lam = lam_e
+            self._step(e, "frontier walk")
+            # the entering arc now carries the step length
+            moved = moved or self.flow[e] > 0.0
         self._check_tree()
 
     def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -309,60 +347,104 @@ class _TransportationSolver:
             raise self._failure("final basis", "basis lost spanning-tree property")
 
 
-def virtual_node(mu: SignedMeasure):
-    """Sources, sinks, supplies and demands of mu's virtual-node graph.
+@dataclass(frozen=True)
+class _Graph:
+    """The virtual-node graph of one measure mu, built once and read by
+    every solve of it.
 
-    Sources are the atoms of the negative part, sinks those of the
-    positive part, each in index order. The virtual row supplies
-    TV(mu) + max(charge, 0) and the virtual column takes
-    TV(mu) + max(-charge, 0). This is the one place that decides where
-    the charge of mu goes, its rounding included: all of it passes the
-    virtual node, priced at the weight of the solve like any annihilated
-    or created mass. ``kr_norm`` leaves it out of the transport cost.
+    Sources are the atoms of mu's negative part, sinks those of its
+    positive part, each in index order; ``costs`` holds their distances.
+    The virtual row supplies TV(mu) + max(charge, 0) and the virtual
+    column takes TV(mu) + max(-charge, 0). This is the one place that
+    decides where the charge of mu goes, its rounding included: all of it
+    passes the virtual node, priced at the weight of the solve like any
+    annihilated or created mass, and ``sign`` is its sign, 0 when
+    |charge| <= CHARGE_REL_TOL * TV(mu). By arc of the (sources + 1) x
+    (sinks + 1) graph, ``arc_dist`` is the distance of a real pair (0 on
+    the virtual arcs) and ``resid_arc`` marks the arcs that annihilate or
+    create mass.
     """
-    w = mu.weights
-    src, snk = np.flatnonzero(w < 0.0), np.flatnonzero(w > 0.0)
-    tv, charge = tv_norm(mu), total_charge(mu)
-    return (src, snk, np.append(-w[src], tv + max(charge, 0.0)),
-            np.append(w[snk], tv + max(-charge, 0.0)))
+
+    mu: SignedMeasure
+    src: np.ndarray
+    snk: np.ndarray
+    costs: np.ndarray
+    supplies: np.ndarray
+    demands: np.ndarray
+    tv: float
+    charge: float
+    sign: float
+    arc_dist: np.ndarray
+    resid_arc: np.ndarray
+
+    @classmethod
+    def of(cls, mu: SignedMeasure) -> _Graph:
+        w = mu.weights
+        src, snk = np.flatnonzero(w < 0.0), np.flatnonzero(w > 0.0)
+        m, n = len(src), len(snk)
+        # fsum rounds exactly, so these equal tv_norm(mu) and total_charge(mu)
+        tv, charge = math.fsum(np.abs(w).tolist()), math.fsum(w.tolist())
+        sign = 0.0 if abs(charge) <= CHARGE_REL_TOL * tv else math.copysign(1.0, charge)
+        costs = mu.space.dist[np.ix_(src, snk)]
+        arc_dist = np.zeros((m + 1, n + 1))
+        arc_dist[:m, :n] = costs
+        resid_arc = np.zeros((m + 1, n + 1), dtype=bool)
+        resid_arc[:m, n] = resid_arc[m, :n] = True
+        return cls(mu, src, snk, costs,
+                   np.concatenate((-w[src], [tv + max(charge, 0.0)])),
+                   np.concatenate((w[snk], [tv + max(-charge, 0.0)])),
+                   tv, charge, sign, arc_dist.ravel(), resid_arc.ravel())
+
+    def ab(self, arcs: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
+        """The transport cost a of a solve's flows, summed as ``plan_cost``
+        sums it, and the annihilated and created mass b."""
+        return (math.fsum((mass * self.arc_dist[arcs]).tolist()),
+                math.fsum(mass[self.resid_arc[arcs]].tolist()))
+
+    def plan_and_residual(self, arcs: np.ndarray, mass: np.ndarray):
+        """The transport plan and the residual mu - xi of a solve's flows.
+
+        The flows on real pairs make up the plan; those out of a source into
+        the virtual column (annihilation) or from the virtual row into a sink
+        (creation) make up the residual.
+        """
+        m, n = len(self.src), len(self.snk)
+        rows, cols = np.divmod(arcs, n + 1)
+        real = (rows < m) & (cols < n)
+        # from a list, not an iterator: CPython then sizes the tuple exactly and
+        # reuses freed tuples instead of filling up the free list of each length
+        entries = list(zip(self.src[rows[real]].tolist(), self.snk[cols[real]].tolist(),
+                           mass[real].tolist()))
+        plan = TransportPlan(self.mu.space, tuple(entries))
+        resid = np.zeros(self.mu.space.n)
+        out, into = (rows < m) & (cols == n), (rows == m) & (cols < n)
+        resid[self.src[rows[out]]] = -mass[out]
+        resid[self.snk[cols[into]]] = mass[into]
+        return plan, resid
+
+    def potentials(self, u_src: np.ndarray, cap: float) -> np.ndarray:
+        """McShane extension of the source rows' potentials, capped at ``cap``.
+
+        It is 1-Lipschitz and equals the optimal duals (relative to the
+        virtual node) on every atom that carries flow.
+        """
+        return (self.mu.space.dist[:, self.src] + u_src).min(axis=1, initial=cap)
 
 
 def solve_transportation(costs, supplies, demands, lam):
     """Min-cost flow on the virtual-node graph at the weight ``lam``.
 
     ``costs`` prices the real pairs (sources x sinks); ``supplies`` and
-    ``demands`` are arrays that end with the virtual node's, as
-    ``virtual_node`` builds them. Returns the arcs of the (sources + 1) x
-    (sinks + 1) graph that carry flow, in arc order, their flows, and the
-    source rows' potentials relative to the virtual node: every arc's head
-    potential exceeds its tail's by at most its cost, with equality on
-    arcs that carry flow.
+    ``demands`` are arrays that end with the virtual node's, as ``_Graph``
+    builds them. Returns the arcs of the (sources + 1) x (sinks + 1) graph
+    that carry flow, in arc order, their flows, and the source rows'
+    potentials relative to the virtual node: every arc's head potential
+    exceeds its tail's by at most its cost, with equality on arcs that
+    carry flow.
     """
     solver = _TransportationSolver(np.asarray(costs, dtype=float), supplies, demands, float(lam))
     solver.solve()
     return solver.read()
-
-
-def plan_and_residual(space: FiniteMetricSpace, src: np.ndarray, snk: np.ndarray,
-                      arcs: np.ndarray, mass: np.ndarray):
-    """The transport plan and the residual mu - xi of a solve's flows.
-
-    The flows on real pairs make up the plan; those out of a source into
-    the virtual column (annihilation) or from the virtual row into a sink
-    (creation) make up the residual.
-    """
-    m, n = len(src), len(snk)
-    rows, cols = np.divmod(arcs, n + 1)
-    real = (rows < m) & (cols < n)
-    # from a list, not an iterator: CPython then sizes the tuple exactly and
-    # reuses freed tuples instead of filling up the free list of each length
-    entries = list(zip(src[rows[real]].tolist(), snk[cols[real]].tolist(), mass[real].tolist()))
-    plan = TransportPlan(space, tuple(entries))
-    resid = np.zeros(space.n)
-    out, into = (rows < m) & (cols == n), (rows == m) & (cols < n)
-    resid[src[rows[out]]] = -mass[out]
-    resid[snk[cols[into]]] = mass[into]
-    return plan, resid
 
 
 def kr_norm(space: FiniteMetricSpace, xi: SignedMeasure) -> FlowResult:
@@ -372,24 +454,20 @@ def kr_norm(space: FiniteMetricSpace, xi: SignedMeasure) -> FlowResult:
     is ``xi``, an attaining plan, and 1-Lipschitz node potentials with
     sum(potentials * xi) equal to the cost. Potentials are shifted so the
     lowest-index support point sits at 0. The rounding charge of ``xi``
-    is not transported (see ``virtual_node``).
+    is not transported (see ``_Graph``).
     """
     if xi.space is not space:
         raise ValueError("measure belongs to a different space instance")
-    tv = tv_norm(xi)
-    if abs(total_charge(xi)) > CHARGE_REL_TOL * max(1.0, tv):
-        raise NonZeroCharge(f"total charge {total_charge(xi)} != 0")
-
-    src, snk, supplies, demands = virtual_node(xi)
-    if not len(src) or not len(snk):
+    graph = _Graph.of(xi)
+    if abs(graph.charge) > CHARGE_REL_TOL * max(1.0, graph.tv):
+        raise NonZeroCharge(f"total charge {graph.charge} != 0")
+    if not len(graph.src) or not len(graph.snk):
         return FlowResult(0.0, TransportPlan(space, ()), np.zeros(space.n))
-    arcs, mass, u_src = solve_transportation(space.dist[np.ix_(src, snk)], supplies,
-                                             demands, space.diameter)
-    plan, _ = plan_and_residual(space, src, snk, arcs, mass)
-    # McShane extension of the source potentials: 1-Lipschitz, and equal
-    # to the optimal duals on every atom that carries flow
-    pot = (space.dist[:, src] + u_src).min(axis=1)
+    arcs, mass, u_src = solve_transportation(graph.costs, graph.supplies,
+                                             graph.demands, space.diameter)
+    plan, _ = graph.plan_and_residual(arcs, mass)
+    pot = graph.potentials(u_src, math.inf)
     sup = support(xi)
     if sup:
         pot = pot - pot[sup[0]]
-    return FlowResult(plan_cost(space, plan), plan, pot)
+    return FlowResult(graph.ab(arcs, mass)[0], plan, pot)

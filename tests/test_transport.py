@@ -7,7 +7,7 @@ from conftest import random_measure, shortest_path_space, zero_charge_measure
 from pkr.certify import check_optimality
 from pkr.errors import NonZeroCharge, NumericalFailure
 from pkr.oracle import RationalMeasure, oracle_kr
-from pkr.pknorm import pk_norm
+from pkr.pknorm import pk_norm, trace_frontier
 from pkr.space import SignedMeasure, dirac, tv_norm, validate_space
 from pkr.transport import (
     FlowResult,
@@ -398,3 +398,36 @@ class TestScaleRobustness:
                 for p in (1.0, 2.0, math.inf):
                     sol = pk_norm(sp, mu, p)
                     assert check_optimality(sp, mu, sol.xi, sol.plan, sol.dual_f, p).passed
+
+
+def _reader_case(name):
+    """A space, a zero-charge measure and a measure with charge on it."""
+    if name in ("line25", "cube16"):
+        sp = _integer_line(25) if name == "line25" else _hamming_cube(4)
+        rng = np.random.default_rng(sp.n)
+        return (sp, SignedMeasure(sp, _integer_zero_charge(rng, sp.n)),
+                SignedMeasure(sp, rng.integers(-5, 6, sp.n).astype(float)))
+    n, metric_scale, weight_scale = name
+    rng = np.random.default_rng(300 + n)
+    base = shortest_path_space(rng, n)
+    xi0, mu0 = zero_charge_measure(rng, base), random_measure(rng, base)
+    sp = validate_space(list(base.labels), metric_scale * base.dist)
+    return (sp, SignedMeasure(sp, weight_scale * xi0.weights),
+            SignedMeasure(sp, weight_scale * mu0.weights))
+
+
+class TestSharedReader:
+    """kr_norm and every frontier vertex read a solved tree the same way,
+    so their transport cost is their plan's cost, bit for bit."""
+
+    @pytest.mark.parametrize("name", [
+        pytest.param((n, ms, ws), id=f"n{n}-metric{ms:g}-weight{ws:g}")
+        for n in (12, 40) for ms in TestScaleRobustness.SCALES
+        for ws in TestScaleRobustness.SCALES] + ["line25", "cube16"])
+    def test_cost_is_plan_cost(self, name):
+        sp, xi, mu = _reader_case(name)
+        res = kr_norm(sp, xi)
+        assert res.cost == plan_cost(sp, res.plan)
+        for measure in (xi, mu):
+            for fp in trace_frontier(sp, measure):
+                assert fp.a == plan_cost(sp, fp.sol.plan)

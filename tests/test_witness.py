@@ -10,7 +10,7 @@ from conftest import random_measure, shortest_path_space, zero_charge_measure
 from pkr.certify import check_optimality
 from pkr.lipschitz import dual_solve
 from pkr.pknorm import pk_norm, trace_frontier
-from pkr.space import SignedMeasure, validate_space
+from pkr.space import SignedMeasure, dirac, validate_space, zero_measure
 from test_frontier import INSTANCES
 
 SCALES = (1e-8, 1.0, 1e8)
@@ -55,6 +55,27 @@ class TestZeroChargeScaleRobustness:
         for q in (1.5, 2.0, 4.0):
             primal = pk_norm(sp, mu, q / (q - 1.0)).value
             assert dual_solve(sp, mu, q).value == pytest.approx(primal, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_zero_measure_witness_certified(line3, p):
+    # the zero measure pairs to 0 with anything; its witness must still
+    # lie on the conjugate unit sphere
+    mu = zero_measure(line3)
+    sol = pk_norm(line3, mu, p)
+    assert sol.value == 0.0 and sol.gap == 0.0
+    assert check_optimality(line3, mu, sol.xi, sol.plan, sol.dual_f, p).passed
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, -1e-12, -1e-6, -1.0, -1e6])
+def test_point_mass_certified_at_every_scale(line3, c, p):
+    # a point mass is all charge however small it is: its witness at
+    # lam = inf is the constant sign(c), not 0
+    mu = dirac(line3, 0, c)
+    sol = pk_norm(line3, mu, p)
+    assert check_optimality(line3, mu, sol.xi, sol.plan, sol.dual_f, p).passed
+    assert sol.gap <= 1e-12 * sol.value
 
 
 def test_fully_transported_points_leave_no_residual():
