@@ -108,10 +108,15 @@ class FrontierPoint:
         vals = self.potentials(min(lam, space.diameter))
         # the slope before the shift: the shift leaves it unchanged, but a
         # large one rounds away the low-order bits of the differences
-        lip = _lip_const_values(space.dist, vals)
-        if lam > space.diameter:
-            vals = vals + graph.sign * (lam - space.diameter)
-        return vals, lip
+        return self.shifted(vals, lam), _lip_const_values(space.dist, vals)
+
+    def shifted(self, vals: np.ndarray, lam: float) -> np.ndarray:
+        """``vals``, the potentials at min(lam, diameter), plus the constant
+        sign(charge) * (lam - diameter) past the diameter."""
+        diameter = self.graph.mu.space.diameter
+        if lam > diameter:
+            return vals + self.graph.sign * (lam - diameter)
+        return vals
 
     @property
     def sol(self) -> ScalarizedSolution:
@@ -168,8 +173,8 @@ def scalarized_min(space: FiniteMetricSpace, mu: SignedMeasure,
     sol = vertex.sol
     if lam == at:
         return sol
-    f, _ = vertex.witness(lam)
-    return ScalarizedSolution(lam, sol.xi, sol.a, sol.b, sol.plan, f, sol.a + lam * sol.b)
+    return ScalarizedSolution(lam, sol.xi, sol.a, sol.b, sol.plan,
+                              vertex.shifted(sol.potentials, lam), sol.a + lam * sol.b)
 
 
 def trace_frontier(space: FiniteMetricSpace, mu: SignedMeasure) -> list[FrontierPoint]:

@@ -28,6 +28,11 @@ SUPPORT_REL_TOL = 1e-12
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values``; an array that is read-only already,
+    owns its data and has the dtype is taken as it is."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -56,10 +61,12 @@ class FiniteMetricSpace:
         d = _frozen_array(self.dist)
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] != len(self.labels):
             raise ValueError("distance matrix must be square and match the labels")
-        if not np.all(np.isfinite(d)):
+        diameter = float(d.max()) if d.size else 0.0
+        # max and min propagate NaN, so both are finite iff every entry is
+        if d.size and not (math.isfinite(diameter) and math.isfinite(float(d.min()))):
             raise ValueError("distance matrix entries must be finite")
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "diameter", float(d.max()) if d.size else 0.0)
+        object.__setattr__(self, "diameter", diameter)
 
     @property
     def n(self) -> int:
@@ -118,6 +125,54 @@ class SignedMeasure:
         return f"SignedMeasure(n={self.space.n}, tv={tv_norm(self):.6g})"
 
 
+# floats in the one scratch buffer that validate_space's scans fill tile by tile
+_TILE = 1 << 15
+
+
+def _first_max(tiles) -> tuple[float, tuple[int, ...] | None]:
+    """The largest entry over ``(origin, tile)`` pairs and its index, the
+    tile's origin added; the first one on ties, in visiting order."""
+    worst, where = -math.inf, None
+    for origin, t in tiles:
+        m = float(t.max())
+        if m > worst:
+            worst = m
+            at = np.unravel_index(int(t.argmax()), t.shape)
+            where = tuple(o + int(x) for o, x in zip(origin, at))
+    return worst, where
+
+
+def _asymmetry_tiles(d: np.ndarray, buf: np.ndarray):
+    """|d - d^T| by blocks of rows."""
+    n = len(d)
+    rows = max(1, _TILE // n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        t = buf[:(r1 - r0) * n].reshape(r1 - r0, n)
+        np.subtract(d[r0:r1], d[:, r0:r1].T, out=t)
+        yield (r0, 0), np.abs(t, out=t)
+
+
+def _triangle_tiles(d: np.ndarray, buf: np.ndarray):
+    """viol[k, i, j] = d[i, j] - (d[i, k] + d[k, j]) by tiles: a block of k
+    over all rows while n^2 floats fit in ``_TILE``, else one k over a block
+    of rows. Tiles run k-major, then row-major, so together they visit
+    (k, i, j) in lexicographic order."""
+    n = len(d)
+    ks = max(1, _TILE // (n * n))
+    rows = min(n, max(1, _TILE // n))
+    for k0 in range(0, n, ks):
+        k1 = min(k0 + ks, n)
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            t = buf[:(k1 - k0) * (r1 - r0) * n].reshape(k1 - k0, r1 - r0, n)
+            # filling t with the column first, then adding the row, is faster
+            # than one broadcast add of both
+            t[...] = d[r0:r1, k0:k1].T[:, :, None]
+            np.add(t, d[k0:k1, None, :], out=t)
+            yield (k0, r0, 0), np.subtract(d[r0:r1], t, out=t)
+
+
 def validate_space(labels, matrix, tol: float = DEFAULT_METRIC_TOL,
                    allow_repair: bool = False) -> FiniteMetricSpace:
     """Validate a distance matrix and return the space.
@@ -126,6 +181,15 @@ def validate_space(labels, matrix, tol: float = DEFAULT_METRIC_TOL,
     strictly positive off-diagonal entries, and the triangle inequality.
     With ``allow_repair`` the matrix is symmetrized to (d + d^T)/2 before
     the remaining checks; by default the matrix is kept exactly as given.
+
+    The symmetry and triangle scans fill one buffer of at most ``_TILE``
+    floats, tile by tile, and allocate no n x n temporary. The triangle
+    scan computes viol[k, i, j] = d[i, j] - (d[i, k] + d[k, j]) for a
+    block of k over all rows while n^2 fits the buffer, else for one k
+    over a block of rows, visiting tiles k-major and then row-major. The
+    worst triple is the first strict maximum in that (k, i, j) order,
+    which is the one a loop over k taking the first argmax of each
+    n x n slice reports, with the same message.
 
     Raises: NegativeDistance, AsymmetryError, ZeroOffDiagonal,
         TriangleViolation (reporting the worst triple).
@@ -138,52 +202,52 @@ def validate_space(labels, matrix, tol: float = DEFAULT_METRIC_TOL,
         raise ValueError("distance matrix must be square")
     if d.shape[0] != len(labels):
         raise ValueError("matrix size must match the number of labels")
-    if not np.all(np.isfinite(d)):
+    if not d.size:
+        return FiniteMetricSpace(labels, d)
+    hi, lo = float(d.max()), float(d.min())  # NaN propagates through both
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("distance matrix entries must be finite")
 
     n = d.shape[0]
-    scale = tol * max(1.0, float(d.max()) if d.size else 0.0)
+    scale = tol * max(1.0, hi)
+    # holds the largest tile of either scan: at most _TILE floats, or one
+    # row when a row alone is longer
+    buf = np.empty(min(n ** 3, max(_TILE, n)))
 
-    if d.size and float(d.min()) < -scale:
+    if lo < -scale:
         i, j = np.unravel_index(int(np.argmin(d)), d.shape)
         raise NegativeDistance(f"d[{labels[i]},{labels[j]}] = {d[i, j]} < 0")
 
-    asym = np.abs(d - d.T)
-    if float(asym.max(initial=0.0)) > scale:
-        i, j = np.unravel_index(int(np.argmax(asym)), d.shape)
+    worst, (i, j) = _first_max(_asymmetry_tiles(d, buf))
+    if worst > scale:
         raise AsymmetryError(
             f"d[{labels[i]},{labels[j]}] = {d[i, j]} but d[{labels[j]},{labels[i]}] = {d[j, i]}"
         )
     if allow_repair:
         d = (d + d.T) / 2.0
 
-    diag = np.abs(np.diagonal(d))
-    if float(diag.max(initial=0.0)) > scale:
-        i = int(np.argmax(diag))
+    diag = d.diagonal().copy()
+    i = int(np.argmax(np.abs(diag)))
+    if abs(diag[i]) > scale:
         raise ValueError(f"d[{labels[i]},{labels[i]}] = {d[i, i]} must be 0")
 
-    off = d + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-    if n > 1 and float(off.min()) <= scale:
-        i, j = np.unravel_index(int(np.argmin(off)), d.shape)
+    # the smallest off-diagonal entry: the diagonal is set to inf for the
+    # scan and then restored
+    d.flat[::n + 1] = math.inf
+    at = int(np.argmin(d))
+    d.flat[::n + 1] = diag
+    if n > 1 and d.flat[at] <= scale:
+        i, j = np.unravel_index(at, d.shape)
         raise ZeroOffDiagonal(f"points {labels[i]} and {labels[j]} are at distance {d[i, j]}")
 
-    # worst triangle violation: max over k of d[i,j] - d[i,k] - d[k,j]
-    worst = -math.inf
-    worst_triple = None
-    for k in range(n):
-        viol = d - (d[:, k][:, None] + d[k, :][None, :])
-        m = float(viol.max())
-        if m > worst:
-            worst = m
-            i, j = np.unravel_index(int(np.argmax(viol)), d.shape)
-            worst_triple = (i, k, j)
-    if worst_triple is not None and worst > scale:
-        i, k, j = worst_triple
+    worst, (k, i, j) = _first_max(_triangle_tiles(d, buf))
+    if worst > scale:
         raise TriangleViolation(
             f"d[{labels[i]},{labels[j]}] = {d[i, j]} > "
             f"d[{labels[i]},{labels[k]}] + d[{labels[k]},{labels[j]}] = {d[i, k] + d[k, j]}"
         )
 
+    d.setflags(write=False)
     return FiniteMetricSpace(labels, d)
 
 

@@ -2,21 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_measure, shortest_path_space, zero_charge_measure
-from pkr.errors import InvalidP, NegativeLambda, SpaceMismatch
+from pkr.errors import InvalidP, NegativeLambda, SpaceMismatch, TriangleViolation
 from pkr.holder import HolderPair, conjugate_exponent, lp_combine
 from pkr.lipschitz import ql_norm
 from pkr.oracle import oracle_pk
 from pkr.pknorm import (
+    FrontierPoint,
     pareto_frontier,
     pk_dist,
     pk_norm,
     scalarized_min,
     trace_frontier,
 )
-from pkr.space import SignedMeasure, dirac, tv_norm, zero_measure
-from pkr.transport import plan_cost, plan_divergence
+from pkr.space import SignedMeasure, dirac, tv_norm, validate_space, zero_measure
+from pkr.transport import _Graph, kr_norm, plan_cost, plan_divergence, solve_transportation
 
 PS = [1.0, 1.5, 2.0, 4.0, math.inf]
 
@@ -79,6 +82,20 @@ class TestScalarized:
                 sol.objective, rel=1e-9, abs=1e-9)
             # scalarized optimality against its own xi decomposition
             assert sol.objective <= lam * tv_norm(mu) + 1e-9
+
+    @pytest.mark.parametrize("measure", [random_measure, zero_charge_measure])
+    def test_potentials_past_diameter_are_the_witness(self, measure):
+        # the shifted potentials equal those of the witness of the same
+        # solved vertex, bit for bit, without its slope
+        rng = np.random.default_rng(23)
+        sp = shortest_path_space(rng, 16)
+        mu = measure(rng, sp)
+        graph = _Graph.of(mu)
+        vertex = FrontierPoint.read(graph, sp.diameter, *solve_transportation(
+            graph.costs, graph.supplies, graph.demands, sp.diameter))
+        for lam in (1.5 * sp.diameter, 1e3):
+            f = scalarized_min(sp, mu, lam).potentials
+            assert f.tobytes() == vertex.witness(lam)[0].tobytes()
 
     def test_against_oracle_grid(self):
         # weighted-sum optimality via brute grid: scaling distances by 1/lam
@@ -287,3 +304,37 @@ class TestPkDist:
     def test_space_mismatch(self, two_point, line3):
         with pytest.raises(SpaceMismatch):
             pk_dist(two_point, dirac(two_point, 0, 1), dirac(line3, 0, 1), 2.0)
+
+
+def _triangle_rejected(labels, d):
+    try:
+        validate_space(labels, d)
+    except TriangleViolation:
+        return True
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12))
+def test_relabelling_invariance(data, seed, n):
+    """Permuting the points of a space and its measure changes no value."""
+    rng = np.random.default_rng(seed)
+    sp = shortest_path_space(rng, n)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    labels = [sp.labels[i] for i in perm]
+    sq = validate_space(labels, sp.dist[np.ix_(perm, perm)])
+    assert sq.diameter == sp.diameter
+
+    w = rng.uniform(-1.0, 1.0, n)
+    xi = w - w.mean()
+    assert kr_norm(sq, SignedMeasure(sq, xi[perm])).cost == pytest.approx(
+        kr_norm(sp, SignedMeasure(sp, xi)).cost, rel=1e-12)
+    for p in (1.0, 2.0, math.inf):
+        assert pk_norm(sq, SignedMeasure(sq, w[perm]), p).value == pytest.approx(
+            pk_norm(sp, SignedMeasure(sp, w), p).value, rel=1e-12)
+
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    bad = np.array(sp.dist)
+    bad[i, j] = bad[j, i] = bad[i, j] * data.draw(st.floats(0.5, 3.0))
+    assert _triangle_rejected(labels, bad[np.ix_(perm, perm)]) == \
+        _triangle_rejected(sp.labels, bad)

@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shortest_path_space
+from pkr import space as space_mod
 from pkr.errors import (
     AsymmetryError,
     DimensionMismatch,
     IndexOutOfRange,
     NegativeDistance,
+    PkrError,
     SpaceMismatch,
     TriangleViolation,
     ZeroOffDiagonal,
 )
 from pkr.space import (
+    DEFAULT_METRIC_TOL,
+    FiniteMetricSpace,
     SignedMeasure,
     dirac,
     from_euclidean,
@@ -62,6 +67,150 @@ class TestValidateSpace:
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):
             validate_space(["a", "a"], [[0, 1], [1, 0]])
+
+
+def _loop_validate(labels, matrix, tol=DEFAULT_METRIC_TOL, allow_repair=False):
+    """Reference: every check on whole n x n temporaries, the triangle one
+    as a loop over k keeping the first argmax of the first largest slice."""
+    d = np.array(matrix, dtype=float)
+    labels = tuple(str(x) for x in labels)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("distance matrix must be square")
+    if d.shape[0] != len(labels):
+        raise ValueError("matrix size must match the number of labels")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distance matrix entries must be finite")
+    n = d.shape[0]
+    scale = tol * max(1.0, float(d.max()) if d.size else 0.0)
+    if d.size and float(d.min()) < -scale:
+        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+        raise NegativeDistance(f"d[{labels[i]},{labels[j]}] = {d[i, j]} < 0")
+    asym = np.abs(d - d.T)
+    if float(asym.max(initial=0.0)) > scale:
+        i, j = np.unravel_index(int(np.argmax(asym)), d.shape)
+        raise AsymmetryError(
+            f"d[{labels[i]},{labels[j]}] = {d[i, j]} but d[{labels[j]},{labels[i]}] = {d[j, i]}")
+    if allow_repair:
+        d = (d + d.T) / 2.0
+    diag = np.abs(np.diagonal(d))
+    if float(diag.max(initial=0.0)) > scale:
+        i = int(np.argmax(diag))
+        raise ValueError(f"d[{labels[i]},{labels[i]}] = {d[i, i]} must be 0")
+    off = d + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
+    if n > 1 and float(off.min()) <= scale:
+        i, j = np.unravel_index(int(np.argmin(off)), d.shape)
+        raise ZeroOffDiagonal(f"points {labels[i]} and {labels[j]} are at distance {d[i, j]}")
+    worst, worst_triple = -math.inf, None
+    for k in range(n):
+        viol = d - (d[:, k][:, None] + d[k, :][None, :])
+        m = float(viol.max())
+        if m > worst:
+            worst = m
+            i, j = np.unravel_index(int(np.argmax(viol)), d.shape)
+            worst_triple = (i, k, j)
+    if worst_triple is not None and worst > scale:
+        i, k, j = worst_triple
+        raise TriangleViolation(
+            f"d[{labels[i]},{labels[j]}] = {d[i, j]} > "
+            f"d[{labels[i]},{labels[k]}] + d[{labels[k]},{labels[j]}] = {d[i, k] + d[k, j]}")
+    return FiniteMetricSpace(labels, d)
+
+
+def _outcome(validate, d, **kw):
+    """The exception type and message, or the dist bytes and diameter."""
+    try:
+        sp = validate([f"p{i}" for i in range(len(d))], d, **kw)
+    except (ValueError, PkrError) as err:
+        return type(err), str(err)
+    return sp.dist.tobytes(), sp.diameter
+
+
+def _corrupted(rng, d, count):
+    """``d`` with ``count`` symmetric pairs scaled by factors in [0.5, 3]."""
+    d = d.copy()
+    n = len(d)
+    for _ in range(count):
+        i, j = rng.choice(n, 2, replace=False)
+        d[i, j] = d[j, i] = d[i, j] * rng.uniform(0.5, 3.0)
+    return d
+
+
+def _raised_integer_metric(rng, n, count, line):
+    """The integer line, or the metric with every distance 1, with ``count``
+    pairs, the first from point 0, each lengthened to violate the triangle
+    inequality by 1: tied across every k between its ends (on the line) or
+    off them (all distances 1), and across pairs. With all distances 1, the
+    pair from point 0 has the first row but not the first k."""
+    idx = np.arange(n)
+    d = np.abs(np.subtract.outer(idx, idx)) if line else (idx[:, None] != idx).astype(int)
+    for c in range(count):
+        i = 0 if c == 0 else rng.integers(0, n - 2)
+        j = rng.integers(i + 2, n)
+        d[i, j] = d[j, i] = d[i, j] + (1 if line else 2)
+    return d.astype(float)
+
+
+def _off_check_cases(rng, d):
+    """``d`` broken for each of the other checks, each at one random entry."""
+    n = len(d)
+    i, j = rng.choice(n, 2, replace=False)
+    cases = []
+    for value in (-0.5, 0.0, 1e-12, np.nan, np.inf):
+        e = d.copy()
+        e[i, j] = e[j, i] = value
+        cases.append(e)
+    asym, diag, small_diag = d.copy(), d.copy(), d.copy()
+    asym[i, j] += 1e-3
+    diag[j, j] = 1e-3
+    small_diag[j, j] = 1e-12
+    return cases + [asym, diag, small_diag]
+
+
+TILES = [7, 50, space_mod._TILE]
+SIZES = [1, 2, 3, 4, 7, 8, 12, 25, 50, 97, 190]
+
+
+class TestTiledScanMatchesLoop:
+    """The tiled scans raise what the loop raises, message included, and
+    accept what it accepts with the same bytes, for every tile size: with 7
+    and 50 floats most tiles are single rows and ties straddle tile edges;
+    the default takes blocks of k up to n = 181 and row blocks past it."""
+
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_shortest_path_metrics(self, monkeypatch, tile, n):
+        monkeypatch.setattr(space_mod, "_TILE", tile)
+        rng = np.random.default_rng(1000 * n + tile)
+        d = np.array(shortest_path_space(rng, n).dist)
+        cases = [d] + [_corrupted(rng, d, c) for c in (1, 2, 3) if n > 1]
+        for e in cases:
+            assert _outcome(validate_space, e) == _outcome(_loop_validate, e)
+
+    @pytest.mark.parametrize("line", [True, False], ids=["line", "uniform"])
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_integer_metrics_with_tied_violations(self, monkeypatch, tile, n, line):
+        monkeypatch.setattr(space_mod, "_TILE", tile)
+        rng = np.random.default_rng(2000 * n + tile + line)
+        for count in (0, 1, 3) if n > 2 else (0,):
+            e = _raised_integer_metric(rng, n, count, line)
+            want = _outcome(_loop_validate, e)
+            assert _outcome(validate_space, e) == want
+            assert (want[0] is TriangleViolation) == (count > 0)
+
+    @pytest.mark.parametrize("tile", [7, space_mod._TILE])
+    @pytest.mark.parametrize("n", [2, 3, 12, 50])
+    def test_other_checks(self, monkeypatch, tile, n):
+        monkeypatch.setattr(space_mod, "_TILE", tile)
+        rng = np.random.default_rng(3000 * n + tile)
+        d = np.array(shortest_path_space(rng, n).dist)
+        for e in _off_check_cases(rng, d):
+            for kw in ({}, {"allow_repair": True}, {"tol": 0.0}):
+                assert _outcome(validate_space, e, **kw) == _outcome(_loop_validate, e, **kw)
+
+    def test_validated_matrix_is_not_copied_again(self, line3):
+        assert line3.dist.flags.owndata and not line3.dist.flags.writeable
+        assert FiniteMetricSpace(line3.labels, line3.dist).dist is line3.dist
 
 
 class TestFromEuclidean:

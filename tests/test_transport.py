@@ -312,6 +312,54 @@ class TestKrAgainstLinprog:
             assert kr_norm(sp, xi).cost == pytest.approx(lp, rel=1e-9)
 
 
+def _random_tree(rng, n, path, integer):
+    """Parent links (parent[v] < v, the root 0 has none) and edge lengths,
+    ``length[v]`` for the edge from v to its parent."""
+    parent = np.arange(-1, n - 1) if path else np.array(
+        [-1] + [int(rng.integers(0, v)) for v in range(1, n)])
+    length = (rng.integers(1, 6, n) if integer else rng.uniform(0.1, 1.0, n)).astype(float)
+    return parent, length
+
+
+def _tree_metric(parent, length):
+    """Path lengths: a node's distance to every earlier node runs through its
+    parent, since each subtree holds only later nodes."""
+    n = len(parent)
+    d = np.zeros((n, n))
+    for v in range(1, n):
+        d[v, :v] = d[parent[v], :v] + length[v]
+        d[:v, v] = d[v, :v]
+    return d
+
+
+def _tree_kr(parent, length, w):
+    """KR on a tree: the sum over edges of length times |net mass below|."""
+    below = np.array(w, dtype=float)
+    for v in range(len(parent) - 1, 0, -1):
+        below[parent[v]] += below[v]
+    return math.fsum(length[v] * abs(below[v]) for v in range(1, len(parent)))
+
+
+class TestKrOnTrees:
+    """The closed form of KR on a weighted tree (Evans & Matsen, JRSS B 74,
+    2012): an oracle at sizes neither brute force nor linprog reaches."""
+
+    @pytest.mark.parametrize("n", [50, 200, 300])
+    @pytest.mark.parametrize("path", [False, True], ids=["tree", "path"])
+    @pytest.mark.parametrize("integer", [False, True], ids=["uniform", "integer"])
+    def test_kr_matches_edge_sum(self, n, path, integer):
+        rng = np.random.default_rng(400 + n + 2 * path + integer)
+        parent, length = _random_tree(rng, n, path, integer)
+        # relabel so that the path and tree orders are not the index order
+        perm = rng.permutation(n)
+        d = _tree_metric(parent, length)[np.ix_(perm, perm)]
+        sp = validate_space([f"t{v}" for v in perm], d)
+        w = rng.uniform(-1.0, 1.0, n)
+        w -= w.mean()
+        cost = kr_norm(sp, SignedMeasure(sp, w[perm])).cost
+        assert cost == pytest.approx(_tree_kr(parent, length, w), rel=1e-12)
+
+
 def _zero_flow_arcs_point_to_root(solver):
     """Count the zero-flow tree arcs; each must run from child to parent."""
     count = 0
