@@ -159,8 +159,11 @@ def check_equivalence(space: FiniteMetricSpace, mu: SignedMeasure,
     a2 = HolderPair.from_p(p2).p
     if a1 > a2:
         raise OrderError(f"need p1 <= p2, got {p1} > {p2}")
-    v1 = pk_norm(space, mu, a1).value
-    v2 = pk_norm(space, mu, a2).value
+    from .pknorm import trace_frontier
+
+    probes = trace_frontier(space, mu)
+    v1 = pk_norm(space, mu, a1, probes=probes).value
+    v2 = pk_norm(space, mu, a2, probes=probes).value
     inv1 = 0.0 if math.isinf(a1) else 1.0 / a1
     inv2 = 0.0 if math.isinf(a2) else 1.0 / a2
     constant = 2.0 ** (inv1 - inv2)

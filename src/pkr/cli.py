@@ -19,13 +19,13 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .certify import check_optimality
+from .certify import DEFAULT_CERT_TOL, check_optimality
 from .errors import NumericalFailure, PkrError, SchemaError, ToleranceNotMet
 from .holder import check_p, check_q
 from .lipschitz import DualSolution, dual_solve
-from .pknorm import PkSolution, pareto_frontier, pk_dist, pk_norm
+from .pknorm import DEFAULT_TOL, PkSolution, pareto_frontier, pk_dist, pk_norm
 from .transport import kr_norm
-from .space import tv_norm
+from .space import DEFAULT_METRIC_TOL, tv_norm
 
 log = logging.getLogger("pkr")
 
@@ -161,7 +161,7 @@ def cmd_certify(args) -> dict:
 def cmd_frontier(args) -> dict:
     sp = _space_from(args)
     mu = formats.load_measure(sp, _read_json(args.measure))
-    rows = pareto_frontier(sp, mu, max_points=args.max_points)
+    rows = pareto_frontier(sp, mu)
     return {"frontier": [[float(l), float(a), float(b)] for l, a, b in rows]}
 
 
@@ -175,12 +175,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp_parser, space=True, measure=True, tol=False):
         if space:
             sp_parser.add_argument("--space", required=True, help="space JSON file")
-            sp_parser.add_argument("--metric-tol", type=float, default=1e-9,
+            sp_parser.add_argument("--metric-tol", type=float, default=DEFAULT_METRIC_TOL,
                                    help="relative metric validation tolerance")
         if measure:
             sp_parser.add_argument("--measure", required=True, help="measure JSON file")
         if tol:
-            sp_parser.add_argument("--tol", type=float, default=1e-8,
+            sp_parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                                    help="relative duality-gap tolerance")
         sp_parser.add_argument("--output", default=None,
                                help="write the result JSON here instead of stdout")
@@ -199,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(c, space=False, measure=False)
     c.add_argument("--measure", required=True)
     c.add_argument("--space", default=None, help="needed for label-keyed weights")
-    c.add_argument("--metric-tol", type=float, default=1e-9)
+    c.add_argument("--metric-tol", type=float, default=DEFAULT_METRIC_TOL)
     c.set_defaults(func=cmd_tv)
 
     c = sub.add_parser("pk", help="p-Kantorovich norm with certificate data")
@@ -228,13 +228,12 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--xi", default=None, help="decomposition measure JSON file")
     c.add_argument("--plan", default=None, help="transport plan JSON file")
     c.add_argument("--f", default=None, help="witness function JSON file")
-    c.add_argument("--tol", type=float, default=1e-6,
+    c.add_argument("--tol", type=float, default=DEFAULT_CERT_TOL,
                    help="relative pass/fail tolerance per condition")
     c.set_defaults(func=cmd_certify)
 
     c = sub.add_parser("frontier", help="transport/annihilation trade-off table")
     common(c)
-    c.add_argument("--max-points", type=int, default=64)
     c.set_defaults(func=cmd_frontier)
 
     return parser

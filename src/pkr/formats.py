@@ -24,7 +24,13 @@ from .certify import Certificate
 from .errors import SchemaError
 from .lipschitz import DualSolution, LipschitzFunction
 from .pknorm import PkSolution
-from .space import FiniteMetricSpace, SignedMeasure, from_euclidean, validate_space
+from .space import (
+    DEFAULT_METRIC_TOL,
+    FiniteMetricSpace,
+    SignedMeasure,
+    from_euclidean,
+    validate_space,
+)
 from .transport import FlowResult, TransportPlan, plan_cost
 
 
@@ -46,7 +52,8 @@ def _real(x, where) -> float:
     return x
 
 
-def load_space(obj: dict, tol: float = 1e-9, allow_repair: bool = False) -> FiniteMetricSpace:
+def load_space(obj: dict, tol: float = DEFAULT_METRIC_TOL,
+               allow_repair: bool = False) -> FiniteMetricSpace:
     points = _require(obj, "points", list, "space")
     if not points or not all(isinstance(s, str) for s in points):
         raise SchemaError("space: 'points' must be a nonempty list of strings")

@@ -3,8 +3,8 @@
 The combined norm blends the Lipschitz constant with the sup norm through
 an l^q combination; its unit ball is exactly the dual ball of the
 p-Kantorovich norm for conjugate exponents, which the dual solver
-exploits: it prices each budget (s, m) on the boundary of the unit ball in
-closed form from the transport/annihilation trade-off curve.
+exploits: its witness is the one that supports the primal l^p optimum on
+the transport/annihilation trade-off curve.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpaceMismatch, ToleranceNotMet
-from .holder import aligned_weight, check_q, conjugate_exponent, lp_combine
+from .holder import check_q, conjugate_exponent, lp_combine
 from .space import FiniteMetricSpace, SignedMeasure, _frozen_array, tv_norm
 
 
@@ -103,13 +103,13 @@ def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
 
     A budget (s, m) on the unit sphere, written through its weight
     lam = m / s, bounds the pairing by min over the trade-off vertices of
-    s * a + m * b, and that bound is attained. The best budget is one of
-    lam = 0, lam = inf, a vertex's stationary weight (b / a)^(p - 1) or the
-    crossing of two adjacent price lines, so the outer maximization is a
-    comparison of candidates; the witness is read off the vertex that
-    supports the winning weight, with no further flow solve.
+    s * a + m * b, and that bound is attained. The q-Lipschitz ball is the
+    dual of the p-Kantorovich norm's, so the best budget is the weight
+    that supports the l^p optimum of the curve, and the witness is
+    ``pk_norm``'s, read off the vertex that ``frontier_optimum`` picks,
+    with no further flow solve.
     """
-    from .pknorm import frontier_witness, trace_frontier, vertex_at
+    from .pknorm import frontier_optimum, frontier_witness, trace_frontier
 
     q = check_q(q)
     if tol <= 0:
@@ -119,24 +119,10 @@ def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
         return DualSolution(LipschitzFunction(space, np.zeros(n)), 0.0, q, (0.0, 0.0))
 
     verts = trace_frontier(space, mu)
-
-    def price(lam: float) -> float:
-        s, m = _budget(lam, q)
-        return min(s * v.a + m * v.b for v in verts)
-
-    if math.isinf(q):
-        lams = [1.0]
-    else:
-        p = conjugate_exponent(q)
-        lams = [0.0, math.inf] + [aligned_weight(v.a, v.b, p) for v in verts]
-        for v0, v1 in zip(verts, verts[1:]):
-            da, db = v1.a - v0.a, v1.b - v0.b
-            if da > 0.0 and db < 0.0:
-                lams.append(da / -db)
-
-    lam = max(lams, key=lambda lam: (price(lam), lam))
-    budget, target = _budget(lam, q), price(lam)
-    f = frontier_witness(vertex_at(verts, lam), lam, q)
+    _, _, vertex, lam = frontier_optimum(verts, conjugate_exponent(q))
+    budget = s, m = _budget(lam, q)
+    target = min(s * v.a + m * v.b for v in verts)
+    f = frontier_witness(vertex, lam, q)
     value = pairing(f, mu)
     if abs(value - target) > max(tol, 1e-9) * max(1.0, abs(target)):
         raise ToleranceNotMet(

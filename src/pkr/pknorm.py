@@ -199,21 +199,14 @@ def _frontier_table(probes: list[FrontierPoint],
     return tuple([(min(fp.lam, cap), fp.a, fp.b) for fp in probes])
 
 
-def pareto_frontier(space: FiniteMetricSpace, mu: SignedMeasure,
-                    max_points: int = 64) -> list[tuple[float, float, float]]:
+def pareto_frontier(space: FiniteMetricSpace,
+                    mu: SignedMeasure) -> list[tuple[float, float, float]]:
     """Monotone (lam, a, b) table, one row per trade-off vertex.
 
     A row's lam is where its vertex becomes optimal: 0 for the first, an
     exact breakpoint of the curve (at most diameter / 2) for the others.
-    More than ``max_points`` rows are thinned to evenly spaced ones.
     """
-    if max_points < 2:
-        raise ValueError("max_points must be at least 2")
-    rows = list(_frontier_table(trace_frontier(space, mu), space.diameter))
-    if len(rows) > max_points:
-        idx = np.linspace(0, len(rows) - 1, max_points).round().astype(int)
-        rows = [rows[i] for i in sorted(set(int(i) for i in idx))]
-    return rows
+    return list(_frontier_table(trace_frontier(space, mu), space.diameter))
 
 
 def _edge_interior_argmin(v0: FrontierPoint, v1: FrontierPoint,
@@ -248,10 +241,42 @@ def frontier_witness(vertex: FrontierPoint, lam: float, q: float) -> LipschitzFu
     return LipschitzFunction(space, vals / norm)
 
 
-def vertex_at(verts: list[FrontierPoint], lam: float) -> FrontierPoint:
-    """The vertex whose interval [lam_k, lam_k+1] holds ``lam``."""
-    k = bisect.bisect_right([v.lam for v in verts], lam) - 1
-    return verts[max(k, 0)]
+def frontier_optimum(verts: list[FrontierPoint], p: float
+                     ) -> tuple[int, float | None, FrontierPoint, float]:
+    """The l^p optimum over the trade-off curve and the weight that supports it.
+
+    Returns (k, t, vertex, lam): the optimum is vertex k when t is None,
+    else the point at t in (0, 1) of the edge from vertex k to k + 1. The
+    dual witness of the conjugate exponent is ``vertex``'s at ``lam``:
+    p = 1 gives the vertex optimal at lam = 1; a vertex optimum gives its
+    aligned weight, clipped into the vertex's interval against rounding;
+    an edge optimum gives the edge's breakpoint, which supports the whole
+    edge.
+    """
+    if p == 1.0:
+        k = max(bisect.bisect_right([v.lam for v in verts], 1.0) - 1, 0)
+        return k, None, verts[k], 1.0
+    best_val, best_k, best_t = math.inf, 0, None
+    for k, v in enumerate(verts):
+        val = lp_combine(v.a, v.b, p)
+        if val < best_val:
+            best_val, best_k = val, k
+    for k in range(len(verts) - 1):
+        t = _edge_interior_argmin(verts[k], verts[k + 1], p)
+        if t is None or not 0.0 < t < 1.0:
+            continue
+        at = verts[k].a + t * (verts[k + 1].a - verts[k].a)
+        bt = verts[k].b + t * (verts[k + 1].b - verts[k].b)
+        val = lp_combine(at, bt, p)
+        if val < best_val:
+            best_val, best_k, best_t = val, k, t
+    if best_t is not None:
+        v1 = verts[best_k + 1]
+        return best_k, best_t, v1, v1.lam
+    vertex = verts[best_k]
+    hi = verts[best_k + 1].lam if best_k + 1 < len(verts) else math.inf
+    lam = min(max(aligned_weight(vertex.a, vertex.b, p), vertex.lam), hi)
+    return best_k, None, vertex, lam
 
 
 def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
@@ -274,44 +299,15 @@ def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
     verts = trace_frontier(space, mu) if probes is None else probes
     table = _frontier_table(verts, space.diameter)
 
-    if pair.p == 1.0:
-        sol = scalarized_min(space, mu, 1.0)
+    k, t, vertex, lam = frontier_optimum(verts, pair.p)
+    if t is None:
+        sol = scalarized_min(space, mu, 1.0) if pair.p == 1.0 else verts[k].sol
         xi, plan, a, b = sol.xi, sol.plan, sol.a, sol.b
-        lam = 1.0
-        vertex = vertex_at(verts, lam)
     else:
-        best_val, best_k, best_t = math.inf, 0, None
-        for k, v in enumerate(verts):
-            val = lp_combine(v.a, v.b, pair.p)
-            if val < best_val:
-                best_val, best_k = val, k
-        for k in range(len(verts) - 1):
-            t = _edge_interior_argmin(verts[k], verts[k + 1], pair.p)
-            if t is None or not 0.0 < t < 1.0:
-                continue
-            at = verts[k].a + t * (verts[k + 1].a - verts[k].a)
-            bt = verts[k].b + t * (verts[k + 1].b - verts[k].b)
-            val = lp_combine(at, bt, pair.p)
-            if val < best_val:
-                best_val, best_k, best_t = val, k, t
-
-        if best_t is None:
-            # the alignment weight of (a, b), clipped into the interval of
-            # the vertex against rounding
-            vertex = verts[best_k]
-            sol = vertex.sol
-            xi, plan, a, b = sol.xi, sol.plan, sol.a, sol.b
-            hi = verts[best_k + 1].lam if best_k + 1 < len(verts) else math.inf
-            lam = min(max(aligned_weight(a, b, pair.p), vertex.lam), hi)
-        else:
-            v0, v1 = verts[best_k], verts[best_k + 1]
-            xi = SignedMeasure(space, (1.0 - best_t) * v0.sol.xi.weights
-                               + best_t * v1.sol.xi.weights)
-            flow = kr_norm(space, xi)
-            plan, a = flow.plan, flow.cost
-            b = tv_norm(mu - xi)
-            # the whole edge is supported at its breakpoint
-            vertex, lam = v1, v1.lam
+        v0, v1 = verts[k], verts[k + 1]
+        xi = SignedMeasure(space, (1.0 - t) * v0.sol.xi.weights + t * v1.sol.xi.weights)
+        flow = kr_norm(space, xi)
+        plan, a, b = flow.plan, flow.cost, tv_norm(mu - xi)
 
     value = lp_combine(a, b, pair.p)
     f_star = frontier_witness(vertex, lam, pair.q)

@@ -454,12 +454,13 @@ def kr_norm(space: FiniteMetricSpace, xi: SignedMeasure) -> FlowResult:
     is ``xi``, an attaining plan, and 1-Lipschitz node potentials with
     sum(potentials * xi) equal to the cost. Potentials are shifted so the
     lowest-index support point sits at 0. The rounding charge of ``xi``
-    is not transported (see ``_Graph``).
+    is not transported (see ``_Graph``); a charge above CHARGE_REL_TOL
+    times TV(xi), the graph's nonzero ``sign``, raises NonZeroCharge.
     """
     if xi.space is not space:
         raise ValueError("measure belongs to a different space instance")
     graph = _Graph.of(xi)
-    if abs(graph.charge) > CHARGE_REL_TOL * max(1.0, graph.tv):
+    if graph.sign != 0.0:
         raise NonZeroCharge(f"total charge {graph.charge} != 0")
     if not len(graph.src) or not len(graph.snk):
         return FlowResult(0.0, TransportPlan(space, ()), np.zeros(space.n))

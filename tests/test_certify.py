@@ -152,3 +152,18 @@ class TestCheckEquivalence:
         mu = SignedMeasure(two_point, np.array([1.0, -1.0]))
         with pytest.raises(OrderError):
             check_equivalence(two_point, mu, 2.0, 1.0)
+
+    def test_frontier_traced_once(self, monkeypatch):
+        import pkr.pknorm
+        calls = []
+        trace = pkr.pknorm.trace_frontier
+
+        def counted(space, mu):
+            calls.append(mu)
+            return trace(space, mu)
+
+        monkeypatch.setattr(pkr.pknorm, "trace_frontier", counted)
+        rng = np.random.default_rng(64)
+        sp = shortest_path_space(rng, 10)
+        rep = check_equivalence(sp, random_measure(rng, sp), 1.5, 3.0)
+        assert rep.passed and len(calls) == 1

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import random_measure, shortest_path_space
 
 DATA = Path(__file__).parent / "data"
 
@@ -101,6 +104,20 @@ class TestCommands:
         rec = json.loads(res.stdout)
         assert rec["frontier"][0] == [0.0, 0.0, 2.0]
         assert rec["frontier"][-1] == [0.5, 1.0, 0.0]
+
+    def test_frontier_prints_every_vertex(self, tmp_path):
+        # 93 vertices, more than the 64 rows the table was once thinned to
+        rng = np.random.default_rng(5)
+        sp = shortest_path_space(rng, 80)
+        space, measure = tmp_path / "space.json", tmp_path / "mu.json"
+        space.write_text(json.dumps({"points": list(sp.labels), "metric": {
+            "type": "matrix", "d": sp.dist.tolist()}}))
+        measure.write_text(json.dumps({"weights": random_measure(rng, sp).weights.tolist()}))
+        files = ("--space", str(space), "--measure", str(measure))
+        rows = json.loads(run_cli("frontier", *files).stdout)["frontier"]
+        assert len(rows) == 93
+        assert rows == json.loads(run_cli("pk", "--p", "2", *files).stdout)["frontier"]
+        assert run_cli("frontier", *files, "--max-points", "3").returncode == 2
 
     def test_log_env_keeps_stdout_clean(self):
         res = run_cli("tv", "--measure", str(DATA / "dipole.json"),

@@ -171,13 +171,6 @@ class TestFrontier:
             assert all(rows[i][2] >= rows[i + 1][2] - 1e-12 for i in range(len(rows) - 1))
             assert 0.0 <= lams[0] and lams[-1] <= sp.diameter / 2 + 1e-12
 
-    def test_max_points_cap(self):
-        rng = np.random.default_rng(24)
-        sp = shortest_path_space(rng, 12)
-        mu = random_measure(rng, sp)
-        rows = pareto_frontier(sp, mu, max_points=3)
-        assert 2 <= len(rows) <= 3
-
 
 class TestPkNorm:
     @pytest.mark.parametrize("d, p, want", [

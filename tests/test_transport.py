@@ -63,6 +63,14 @@ class TestKrNorm:
         with pytest.raises(NonZeroCharge):
             kr_norm(two_point, dirac(two_point, 0, 1.0))
 
+    @pytest.mark.parametrize("mass", [1e-12, -1e-12, 1e-6, -1e-6, 1.0, -1.0])
+    def test_point_mass_rejected_at_any_weight(self, line3, mass):
+        # all of a point mass is charge, however small its weight is next to
+        # 1; zero-charge measures at weight scales 1e-8 and 1e8 stay accepted
+        # (TestScaleRobustness)
+        with pytest.raises(NonZeroCharge):
+            kr_norm(line3, dirac(line3, 1, mass))
+
     def test_potentials_normalized_at_lowest_support(self, line3):
         xi = dirac(line3, 0, 1) - dirac(line3, 2, 1)
         res = kr_norm(line3, xi)

@@ -8,6 +8,7 @@ import pytest
 import pkr.pknorm
 from conftest import random_measure, shortest_path_space, zero_charge_measure
 from pkr.certify import check_optimality
+from pkr.holder import HolderPair
 from pkr.lipschitz import dual_solve
 from pkr.pknorm import pk_norm, trace_frontier
 from pkr.space import SignedMeasure, dirac, validate_space, zero_measure
@@ -133,3 +134,21 @@ def test_no_scalarized_solve_for_witnesses(monkeypatch):
     assert calls == []
     pk_norm(sp, mu, 1.0, probes=probes)
     assert len(calls) == 1
+
+
+class TestOneWitness:
+    """``dual_solve`` returns ``pk_norm``'s witness: the q-Lipschitz ball is
+    the dual of the p-Kantorovich one, so one frontier optimum serves both."""
+
+    # pairs whose conjugates round-trip exactly (4 -> 4/3 -> 4.000000000000001)
+    @pytest.mark.parametrize("p, q", [(1.0, math.inf), (1.5, 3.0), (2.0, 2.0),
+                                      (3.0, 1.5), (1.25, 5.0), (math.inf, 1.0)])
+    @pytest.mark.parametrize("measure", [random_measure, zero_charge_measure])
+    def test_dual_solve_witness_is_pk_norms(self, p, q, measure):
+        assert HolderPair.from_p(p).q == q and HolderPair.from_q(q).p == p
+        rng = np.random.default_rng(500)
+        for _ in range(12):
+            sp = shortest_path_space(rng, int(rng.integers(2, 26)))
+            mu = measure(rng, sp)
+            want = pk_norm(sp, mu, p).dual_f.values
+            assert dual_solve(sp, mu, q).f.values.tobytes() == want.tobytes()
