@@ -19,7 +19,7 @@ from .errors import ConjugacyError, DivergenceMismatch, InvalidP, OrderError
 from .holder import HolderPair, lp_combine
 from .lipschitz import LipschitzFunction, lip_const, pairing, sup_norm
 from .pknorm import pk_norm
-from .space import FiniteMetricSpace, SignedMeasure, support, tv_norm
+from .space import DEFAULT_TOL, FiniteMetricSpace, SignedMeasure, support, tv_norm
 from .transport import TransportPlan, plan_cost, plan_divergence
 
 DEFAULT_CERT_TOL = 1e-6
@@ -149,7 +149,7 @@ class EquivalenceReport:
 
 
 def check_equivalence(space: FiniteMetricSpace, mu: SignedMeasure,
-                      p1: float, p2: float, tol: float = 1e-8) -> EquivalenceReport:
+                      p1: float, p2: float, tol: float = DEFAULT_TOL) -> EquivalenceReport:
     """Two-sided norm equivalence with the sharp two-dimensional constant.
 
     For p1 <= p2: value(p2) <= value(p1) and

@@ -23,9 +23,9 @@ from .certify import DEFAULT_CERT_TOL, check_optimality
 from .errors import NumericalFailure, PkrError, SchemaError, ToleranceNotMet
 from .holder import check_p, check_q
 from .lipschitz import DualSolution, dual_solve
-from .pknorm import DEFAULT_TOL, PkSolution, pareto_frontier, pk_dist, pk_norm
+from .pknorm import PkSolution, pareto_frontier, pk_dist, pk_norm
 from .transport import kr_norm
-from .space import DEFAULT_METRIC_TOL, tv_norm
+from .space import DEFAULT_METRIC_TOL, DEFAULT_TOL, tv_norm
 
 log = logging.getLogger("pkr")
 
@@ -104,28 +104,34 @@ def cmd_pk(args) -> dict:
     return formats.pk_record(sp, pk_norm(sp, mu, p, tol=args.tol))
 
 
+def _manifest_files(path: str):
+    """The (mu, nu) file paths of a --pairs manifest, relative to its folder,
+    each entry checked as it is reached."""
+    pairs = _read_json(path).get("pairs")
+    if not isinstance(pairs, list):
+        raise SchemaError("manifest must contain a 'pairs' list")
+    base = Path(path).parent
+    for k, entry in enumerate(pairs):
+        if not isinstance(entry, dict) or "mu" not in entry or "nu" not in entry:
+            raise SchemaError(f"pairs[{k}] must map 'mu' and 'nu' to file paths")
+        yield str(base / entry["mu"]), str(base / entry["nu"])
+
+
 def cmd_dist(args) -> dict:
     sp = _space_from(args)
     p = _exponent(args.p, check_p)
     if args.pairs is not None:
-        manifest = _read_json(args.pairs)
-        pairs = manifest.get("pairs")
-        if not isinstance(pairs, list):
-            raise SchemaError("manifest must contain a 'pairs' list")
-        base = Path(args.pairs).parent
-        results = []
-        for k, entry in enumerate(pairs):
-            if not isinstance(entry, dict) or "mu" not in entry or "nu" not in entry:
-                raise SchemaError(f"pairs[{k}] must map 'mu' and 'nu' to file paths")
-            mu = formats.load_measure(sp, _read_json(str(base / entry["mu"])))
-            nu = formats.load_measure(sp, _read_json(str(base / entry["nu"])))
-            results.append(formats.pk_record(sp, pk_dist(sp, mu, nu, p, tol=args.tol)))
-        return {"results": results}
-    if args.mu is None or args.nu is None:
+        files = _manifest_files(args.pairs)
+    elif args.mu is None or args.nu is None:
         raise SchemaError("dist needs --mu and --nu, or --pairs")
-    mu = formats.load_measure(sp, _read_json(args.mu))
-    nu = formats.load_measure(sp, _read_json(args.nu))
-    return formats.pk_record(sp, pk_dist(sp, mu, nu, p, tol=args.tol))
+    else:
+        files = [(args.mu, args.nu)]
+    results = []
+    for mu_file, nu_file in files:
+        mu = formats.load_measure(sp, _read_json(mu_file))
+        nu = formats.load_measure(sp, _read_json(nu_file))
+        results.append(formats.pk_record(sp, pk_dist(sp, mu, nu, p, tol=args.tol)))
+    return {"results": results} if args.pairs is not None else results[0]
 
 
 def cmd_dual(args) -> dict:
@@ -246,27 +252,18 @@ def main(argv=None) -> int:
     output = getattr(args, "output", None)
     try:
         payload = args.func(args)
-    except ToleranceNotMet as exc:
-        result = exc.result
+    except (PkrError, ValueError) as exc:
+        # a ToleranceNotMet carries the best pair, which is still printed
+        result = getattr(exc, "result", None)
         if isinstance(result, PkSolution):
             _emit(formats.pk_record(result.xi.space, result), output)
         elif isinstance(result, DualSolution):
             _emit(formats.dual_record(result.f.space, result), output)
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": exc.kind, "detail": str(exc)}}) + "\n")
-        return 3
-    except NumericalFailure as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": exc.kind, "detail": str(exc)}}) + "\n")
-        return 1
-    except PkrError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": exc.kind, "detail": str(exc)}}) + "\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "SchemaError", "detail": str(exc)}}) + "\n")
-        return 2
+        kind = exc.kind if isinstance(exc, PkrError) else "SchemaError"
+        sys.stderr.write(json.dumps({"error": {"kind": kind, "detail": str(exc)}}) + "\n")
+        if isinstance(exc, ToleranceNotMet):
+            return 3
+        return 1 if isinstance(exc, NumericalFailure) else 2
     _emit(payload, output)
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SpaceMismatch, ToleranceNotMet
 from .holder import check_q, conjugate_exponent, lp_combine
-from .space import FiniteMetricSpace, SignedMeasure, _frozen_array, tv_norm
+from .space import DEFAULT_TOL, FiniteMetricSpace, SignedMeasure, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def lip_product(f: LipschitzFunction, g: LipschitzFunction) -> LipschitzFunction
 
 
 def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
-               tol: float = 1e-8) -> DualSolution:
+               tol: float = DEFAULT_TOL) -> DualSolution:
     """Maximize the pairing with mu over the q-Lipschitz unit ball.
 
     A budget (s, m) on the unit sphere, written through its weight
@@ -114,10 +114,6 @@ def dual_solve(space: FiniteMetricSpace, mu: SignedMeasure, q: float,
     q = check_q(q)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = space.n
-    if tv_norm(mu) == 0.0:
-        return DualSolution(LipschitzFunction(space, np.zeros(n)), 0.0, q, (0.0, 0.0))
-
     verts = trace_frontier(space, mu)
     _, _, vertex, lam = frontier_optimum(verts, conjugate_exponent(q))
     budget = s, m = _budget(lam, q)

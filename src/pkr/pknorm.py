@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NegativeLambda, SpaceMismatch, ToleranceNotMet
 from .holder import HolderPair, aligned_weight, lp_combine
 from .lipschitz import LipschitzFunction, _lip_const_values, pairing
-from .space import FiniteMetricSpace, SignedMeasure, tv_norm
+from .space import DEFAULT_TOL, FiniteMetricSpace, SignedMeasure, tv_norm
 from .transport import (
     TransportPlan,
     _Graph,
@@ -40,8 +40,6 @@ from .transport import (
     kr_norm,
     solve_transportation,
 )
-
-DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -288,8 +286,19 @@ def pk_norm(space: FiniteMetricSpace, mu: SignedMeasure, p: float,
     exactly as evaluated from the returned xi and plan; ``gap`` is the
     value minus the pairing of the returned unit-ball dual witness.
     Raises ToleranceNotMet (with the pair attached) if the gap is above
-    ``tol * max(1, value)``.
+    ``tol * max(1, value)``. ``probes``, if given, must be
+    ``trace_frontier(space, mu)``: SpaceMismatch if it was traced on
+    another space, ValueError if it is empty or from other weights.
     """
+    if probes is not None:
+        if not probes:
+            raise ValueError("probes must be a traced frontier, got none")
+        traced = probes[0].graph.mu
+        if traced is not mu:
+            if traced.space is not space:
+                raise SpaceMismatch("probes were traced on a different space instance")
+            if not np.array_equal(traced.weights, mu.weights):
+                raise ValueError("probes were traced from a different measure")
     pair = HolderPair.from_p(p)
     if tol <= 0.0:
         raise ValueError("tol must be positive")

@@ -25,6 +25,8 @@ from .errors import (
 
 DEFAULT_METRIC_TOL = 1e-9
 SUPPORT_REL_TOL = 1e-12
+# relative duality-gap tolerance of pk_norm, dual_solve and check_equivalence
+DEFAULT_TOL = 1e-8
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -125,39 +127,15 @@ class SignedMeasure:
         return f"SignedMeasure(n={self.space.n}, tv={tv_norm(self):.6g})"
 
 
-# floats in the one scratch buffer that validate_space's scans fill tile by tile
+# floats in the one scratch buffer that validate_space's triangle scan fills
+# tile by tile
 _TILE = 1 << 15
 
 
-def _first_max(tiles) -> tuple[float, tuple[int, ...] | None]:
-    """The largest entry over ``(origin, tile)`` pairs and its index, the
-    tile's origin added; the first one on ties, in visiting order."""
-    worst, where = -math.inf, None
-    for origin, t in tiles:
-        m = float(t.max())
-        if m > worst:
-            worst = m
-            at = np.unravel_index(int(t.argmax()), t.shape)
-            where = tuple(o + int(x) for o, x in zip(origin, at))
-    return worst, where
-
-
-def _asymmetry_tiles(d: np.ndarray, buf: np.ndarray):
-    """|d - d^T| by blocks of rows."""
-    n = len(d)
-    rows = max(1, _TILE // n)
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        t = buf[:(r1 - r0) * n].reshape(r1 - r0, n)
-        np.subtract(d[r0:r1], d[:, r0:r1].T, out=t)
-        yield (r0, 0), np.abs(t, out=t)
-
-
 def _triangle_tiles(d: np.ndarray, buf: np.ndarray):
-    """viol[k, i, j] = d[i, j] - (d[i, k] + d[k, j]) by tiles: a block of k
-    over all rows while n^2 floats fit in ``_TILE``, else one k over a block
-    of rows. Tiles run k-major, then row-major, so together they visit
-    (k, i, j) in lexicographic order."""
+    """d[i, j] - (d[i, k] + d[k, j]) over every (k, i, j), by tiles: a block
+    of k over all rows while n^2 floats fit in ``_TILE``, else one k over a
+    block of rows."""
     n = len(d)
     ks = max(1, _TILE // (n * n))
     rows = min(n, max(1, _TILE // n))
@@ -170,7 +148,7 @@ def _triangle_tiles(d: np.ndarray, buf: np.ndarray):
             # than one broadcast add of both
             t[...] = d[r0:r1, k0:k1].T[:, :, None]
             np.add(t, d[k0:k1, None, :], out=t)
-            yield (k0, r0, 0), np.subtract(d[r0:r1], t, out=t)
+            yield np.subtract(d[r0:r1], t, out=t)
 
 
 def validate_space(labels, matrix, tol: float = DEFAULT_METRIC_TOL,
@@ -182,14 +160,10 @@ def validate_space(labels, matrix, tol: float = DEFAULT_METRIC_TOL,
     With ``allow_repair`` the matrix is symmetrized to (d + d^T)/2 before
     the remaining checks; by default the matrix is kept exactly as given.
 
-    The symmetry and triangle scans fill one buffer of at most ``_TILE``
-    floats, tile by tile, and allocate no n x n temporary. The triangle
-    scan computes viol[k, i, j] = d[i, j] - (d[i, k] + d[k, j]) for a
-    block of k over all rows while n^2 fits the buffer, else for one k
-    over a block of rows, visiting tiles k-major and then row-major. The
-    worst triple is the first strict maximum in that (k, i, j) order,
-    which is the one a loop over k taking the first argmax of each
-    n x n slice reports, with the same message.
+    The triangle scan fills one buffer of at most ``_TILE`` floats, tile
+    by tile, and keeps only the largest d[i, j] - (d[i, k] + d[k, j]).
+    Only when that exceeds the tolerance does a loop over k name the
+    triple: the first argmax of the first n x n slice that holds it.
 
     Raises: NegativeDistance, AsymmetryError, ZeroOffDiagonal,
         TriangleViolation (reporting the worst triple).
@@ -210,16 +184,13 @@ def validate_space(labels, matrix, tol: float = DEFAULT_METRIC_TOL,
 
     n = d.shape[0]
     scale = tol * max(1.0, hi)
-    # holds the largest tile of either scan: at most _TILE floats, or one
-    # row when a row alone is longer
-    buf = np.empty(min(n ** 3, max(_TILE, n)))
-
     if lo < -scale:
         i, j = np.unravel_index(int(np.argmin(d)), d.shape)
         raise NegativeDistance(f"d[{labels[i]},{labels[j]}] = {d[i, j]} < 0")
 
-    worst, (i, j) = _first_max(_asymmetry_tiles(d, buf))
-    if worst > scale:
+    asym = np.abs(d - d.T)
+    if float(asym.max()) > scale:
+        i, j = np.unravel_index(int(asym.argmax()), d.shape)
         raise AsymmetryError(
             f"d[{labels[i]},{labels[j]}] = {d[i, j]} but d[{labels[j]},{labels[i]}] = {d[j, i]}"
         )
@@ -240,8 +211,16 @@ def validate_space(labels, matrix, tol: float = DEFAULT_METRIC_TOL,
         i, j = np.unravel_index(at, d.shape)
         raise ZeroOffDiagonal(f"points {labels[i]} and {labels[j]} are at distance {d[i, j]}")
 
-    worst, (k, i, j) = _first_max(_triangle_tiles(d, buf))
+    # holds the largest tile: at most _TILE floats, or one row when a row
+    # alone is longer
+    buf = np.empty(min(n ** 3, max(_TILE, n)))
+    worst = max(float(t.max()) for t in _triangle_tiles(d, buf))
     if worst > scale:
+        for k in range(n):
+            viol = d - (d[:, k, None] + d[k])
+            if float(viol.max()) == worst:
+                break
+        i, j = np.unravel_index(int(viol.argmax()), d.shape)
         raise TriangleViolation(
             f"d[{labels[i]},{labels[j]}] = {d[i, j]} > "
             f"d[{labels[i]},{labels[k]}] + d[{labels[k]},{labels[j]}] = {d[i, k] + d[k, j]}"
@@ -292,11 +271,11 @@ def jordan_decompose(mu: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
 
 def tv_norm(mu: SignedMeasure) -> float:
     """Total variation: the sum of absolute weights, so that a unit dipole has TV 2."""
-    return float(math.fsum(abs(float(x)) for x in mu.weights))
+    return math.fsum(np.abs(mu.weights).tolist())
 
 
 def total_charge(mu: SignedMeasure) -> float:
-    return float(math.fsum(float(x) for x in mu.weights))
+    return math.fsum(mu.weights.tolist())
 
 
 def support(mu: SignedMeasure, tol: float = SUPPORT_REL_TOL) -> list[int]:

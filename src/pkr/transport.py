@@ -36,6 +36,8 @@ from .space import (
     SignedMeasure,
     _frozen_array,
     support,
+    total_charge,
+    tv_norm,
 )
 
 CHARGE_REL_TOL = 1e-9
@@ -382,8 +384,7 @@ class _Graph:
         w = mu.weights
         src, snk = np.flatnonzero(w < 0.0), np.flatnonzero(w > 0.0)
         m, n = len(src), len(snk)
-        # fsum rounds exactly, so these equal tv_norm(mu) and total_charge(mu)
-        tv, charge = math.fsum(np.abs(w).tolist()), math.fsum(w.tolist())
+        tv, charge = tv_norm(mu), total_charge(mu)
         sign = 0.0 if abs(charge) <= CHARGE_REL_TOL * tv else math.copysign(1.0, charge)
         costs = mu.space.dist[np.ix_(src, snk)]
         arc_dist = np.zeros((m + 1, n + 1))

@@ -84,6 +84,30 @@ class TestCommands:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"]["kind"] == "SchemaError"
 
+    def test_tolerance_not_met_exit_3(self):
+        res = run_cli("pk", "--p", "2", "--space", str(DATA / "line3.json"),
+                      "--measure", str(DATA / "mu_split.json"), "--tol", "1e-300")
+        assert res.returncode == 3
+        assert json.loads(res.stderr)["error"]["kind"] == "ToleranceNotMet"
+        # the best pair is still printed
+        rec = json.loads(res.stdout)
+        assert rec["p"] == 2.0 and rec["gap"] == 2.220446049250313e-16
+
+    def test_numerical_failure_exit_1(self, monkeypatch, capsys):
+        from pkr import cli
+        from pkr.errors import NumericalFailure
+
+        def fail(*args, **kwargs):
+            raise NumericalFailure("no pivot left")
+
+        monkeypatch.setattr(cli, "kr_norm", fail)
+        code = cli.main(["kr", "--space", str(DATA / "line3.json"),
+                         "--measure", str(DATA / "mu_split.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": {"kind": "NumericalFailure",
+                                             "detail": "no pivot left"}}
+
     def test_dual(self):
         res = run_cli("dual", "--q", "1", "--space", str(DATA / "two_points.json"),
                       "--measure", str(DATA / "dipole.json"))

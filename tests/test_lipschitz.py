@@ -147,8 +147,13 @@ class TestDualSolve:
         assert m == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_zero_measure(self, two_point):
-        sol = dual_solve(two_point, zero_measure(two_point), 2.0)
-        assert sol.value == 0.0 and list(sol.f.values) == [0.0, 0.0]
+        # pk_norm's witness of the zero measure: the constant 1, with its
+        # budget on the unit sphere
+        for q, budget in [(1.0, (1.0, 0.0)), (1.5, (1.0, 0.0)), (2.0, (1.0, 0.0)),
+                          (math.inf, (1.0, 1.0))]:
+            sol = dual_solve(two_point, zero_measure(two_point), q)
+            assert sol.value == 0.0 and list(sol.f.values) == [1.0, 1.0]
+            assert sol.active_budget == budget
 
     def test_budget_feasible_and_value_exact(self):
         rng = np.random.default_rng(35)

@@ -283,6 +283,23 @@ class TestPkNorm:
             shared = pk_norm(sp, mu, p, probes=probes)
             assert shared.value == pytest.approx(direct.value, rel=1e-12)
 
+    def test_probes_of_another_measure_rejected(self):
+        rng = np.random.default_rng(30)
+        sp = shortest_path_space(rng, 8)
+        mu, nu = random_measure(rng, sp), random_measure(rng, sp)
+        other = shortest_path_space(rng, 8)
+        copy = SignedMeasure(sp, mu.weights.copy())
+        for p in PS:
+            with pytest.raises(ValueError, match="different measure"):
+                pk_norm(sp, mu, p, probes=trace_frontier(sp, nu))
+            with pytest.raises(ValueError, match="got none"):
+                pk_norm(sp, mu, p, probes=[])
+            with pytest.raises(SpaceMismatch):
+                pk_norm(sp, mu, p, probes=trace_frontier(other, SignedMeasure(other, mu.weights)))
+            # equal weights on the same space are the same measure
+            assert (pk_norm(sp, mu, p, probes=trace_frontier(sp, copy)).value
+                    == pk_norm(sp, mu, p).value)
+
 
 class TestPkDist:
     def test_identical_measures(self, line3):

@@ -136,6 +136,10 @@ def test_no_scalarized_solve_for_witnesses(monkeypatch):
     assert len(calls) == 1
 
 
+def _zero(rng, sp):
+    return zero_measure(sp)
+
+
 class TestOneWitness:
     """``dual_solve`` returns ``pk_norm``'s witness: the q-Lipschitz ball is
     the dual of the p-Kantorovich one, so one frontier optimum serves both."""
@@ -143,7 +147,7 @@ class TestOneWitness:
     # pairs whose conjugates round-trip exactly (4 -> 4/3 -> 4.000000000000001)
     @pytest.mark.parametrize("p, q", [(1.0, math.inf), (1.5, 3.0), (2.0, 2.0),
                                       (3.0, 1.5), (1.25, 5.0), (math.inf, 1.0)])
-    @pytest.mark.parametrize("measure", [random_measure, zero_charge_measure])
+    @pytest.mark.parametrize("measure", [random_measure, zero_charge_measure, _zero])
     def test_dual_solve_witness_is_pk_norms(self, p, q, measure):
         assert HolderPair.from_p(p).q == q and HolderPair.from_q(q).p == p
         rng = np.random.default_rng(500)
