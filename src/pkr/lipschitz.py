@@ -87,7 +87,7 @@ def pairing(f: LipschitzFunction, mu: SignedMeasure) -> float:
     """Integral of f against mu: the dot product of values and weights."""
     if f.space is not mu.space:
         raise SpaceMismatch("function and measure live on different space instances")
-    return float(math.fsum(float(a) * float(b) for a, b in zip(f.values, mu.weights)))
+    return math.fsum((f.values * mu.weights).tolist())
 
 
 def lip_product(f: LipschitzFunction, g: LipschitzFunction) -> LipschitzFunction:

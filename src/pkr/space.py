@@ -283,4 +283,4 @@ def support(mu: SignedMeasure, tol: float = SUPPORT_REL_TOL) -> list[int]:
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     cut = tol * max(1.0, tv_norm(mu))
-    return [i for i, x in enumerate(mu.weights) if abs(float(x)) > cut]
+    return np.flatnonzero(np.abs(mu.weights) > cut).tolist()

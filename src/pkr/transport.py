@@ -14,7 +14,9 @@ measure and reads every solved tree of it, whether from one solve at a
 fixed lam or from the parametric walk over lam. ``kr_norm`` solves it at
 lam = diameter, where annihilating a unit at one atom and creating it at
 another costs more than moving it, so only the measure's own charge
-passes the virtual node.
+passes the virtual node. The simplex prices the arcs off a table of their
+costs in which the spanning tree's arcs are priced at +inf, so pricing
+never masks them.
 
 Orientation convention, fixed throughout the package: a plan entry
 (i, j, m) moves mass m from point i to point j, and divergence adds at j.
@@ -138,6 +140,14 @@ class _TransportationSolver:
     only adds and subtracts arc costs, so with lam = 1j it carries every
     cost and potential as c0 + 1j * c1, whose value at the weight lam is
     c0 + lam * c1, and the lam part stays an exact small integer.
+
+    Pricing reads ``price``, one flat real table of the arc costs in arc
+    order, or two for the walk (c0 and c1), with every tree arc priced at
+    +inf: a pivot sets the entering arc to +inf and gives the leaving arc
+    its cost back. On the (m, n) view of a table, (price + u[row]) -
+    u[column] sums cost[k] + u[tail[k]] - u[head[k]] in that order for
+    every arc k and is +inf on tree arcs, so one argmin over it, in arc
+    order, scans the reduced costs with no mask.
     """
 
     def __init__(self, costs: np.ndarray, supplies: np.ndarray, demands: np.ndarray, lam):
@@ -152,9 +162,8 @@ class _TransportationSolver:
         cost = np.full((m, n), lam)
         cost[:-1, :-1] = costs
         cost[-1, -1] = 0.0
-        # pricing runs on arrays, the scalar work of a pivot on lists
-        self.arrays = (k // n, m + k % n, cost.ravel())
-        self.tail, self.head, self.cost = (x.tolist() for x in self.arrays)
+        self.tail, self.head = (k // n).tolist(), (m + k % n).tolist()
+        self.cost = cost.ravel().tolist()
 
         flow = np.zeros((m, n))
         flow[:-1, -1] = supplies[:-1]
@@ -164,6 +173,10 @@ class _TransportationSolver:
         in_tree = np.zeros((m, n), dtype=bool)
         in_tree[:, -1] = in_tree[-1, :] = True
         self.in_tree = in_tree.ravel()
+        parts = (cost.real, cost.imag) if np.iscomplexobj(cost) else (cost,)
+        self.price = [np.array(part).ravel() for part in parts]
+        for table in self.price:
+            table[self.in_tree] = math.inf
 
         # the virtual column is the root: every source hangs from it, every
         # sink from the virtual row
@@ -188,13 +201,17 @@ class _TransportationSolver:
         The entering arc has the most negative reduced cost, the lowest
         index on ties; reduced costs above -1e-12 * lam count as zero.
         """
-        tail, head, cost = self.arrays
+        m, n = self.m, self.n
+        price = self.price[0].reshape(m, n)
+        u_tail, u_head = self.u[:m, None], self.u[None, m:]
+        rc = np.empty((m, n))
         tol = 1e-12 * self.lam
         while True:
-            rc = cost + self.u[tail] - self.u[head]
-            rc[self.in_tree] = 0.0
-            e = int(np.argmin(rc))
-            if rc[e] >= -tol:
+            # cost + u[tail] - u[head] by arc, +inf on tree arcs
+            np.add(price, u_tail, out=rc)
+            np.subtract(rc, u_head, out=rc)
+            e = int(rc.argmin())
+            if rc.item(e) >= -tol:
                 break
             self._step(e, "pivoting")
         self._check_tree()
@@ -211,18 +228,33 @@ class _TransportationSolver:
         tree stays optimal until the next yield. Breakpoints closer than
         1e-12 * lam_max count as one.
         """
-        tail, head, cost = self.arrays
+        m, n = self.m, self.n
+        price0, price1 = (table.reshape(m, n) for table in self.price)
+        u0_tail, u0_head = self.u.real[:m, None], self.u.real[None, m:]
+        u1_tail, u1_head = self.u.imag[:m, None], self.u.imag[None, m:]
+        cross, fall, gate = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
         tol = 1e-12 * lam_max
         lam, moved = 0.0, True
         while True:
-            rc = cost + self.u[tail] - self.u[head]
-            ready = (rc.imag < 0.0) & ~self.in_tree
-            e, lam_e = -1, math.inf
-            if ready.any():
-                cross = np.full(len(tail), math.inf)
-                cross[ready] = rc.real[ready] / -rc.imag[ready]
-                e = int(np.argmin(cross))
-                lam_e = float(cross[e])
+            # the reduced cost is rc0 + lam * rc1: rc0 = cost0 + u0[tail] -
+            # u0[head] summed as at a fixed lam, and fall = -rc1, exact in
+            # small integers and -inf on tree arcs. An arc with fall >= 1
+            # crosses zero at rc0 / fall, every other arc must read +inf, and
+            # a masked divide is several times slower than a plain one: gate
+            # = (0.5 - fall) * inf is -inf on the first and +inf on the
+            # others, so max(rc0, gate) / max(fall, 0.5) is exactly
+            # rc0 / fall on the first and +inf / 0.5 on the others
+            np.add(price0, u0_tail, out=cross)
+            np.subtract(cross, u0_head, out=cross)
+            np.subtract(u1_head, u1_tail, out=fall)
+            np.subtract(fall, price1, out=fall)
+            np.subtract(0.5, fall, out=gate)
+            np.multiply(gate, math.inf, out=gate)
+            np.maximum(cross, gate, out=cross)
+            np.maximum(fall, 0.5, out=fall)
+            np.divide(cross, fall, out=cross)
+            e = int(cross.argmin())
+            lam_e = cross.item(e)
             if lam_e > lam + tol:
                 if moved:
                     yield lam
@@ -293,6 +325,10 @@ class _TransportationSolver:
             flow[a] += theta if forward else -theta
         self.in_tree[leaving] = False
         self.in_tree[e] = True
+        # the leaving arc gets its cost back (a float's .real is itself)
+        c = self.cost[leaving]
+        for table, part in zip(self.price, (c.real, c.imag)):
+            table[leaving], table[e] = part, math.inf
         self._rehang(cut, inner, te + he - inner, e)
 
     def _rehang(self, cut, inner, outer, e):
@@ -329,7 +365,8 @@ class _TransportationSolver:
             raise self._failure("pivoting", "basis lost spanning-tree property")
 
     def _check_tree(self):
-        """Confirm that every node hangs off the root through basic arcs."""
+        """Confirm that every node hangs off the root through basic arcs,
+        and that the pricing tables are +inf on exactly those arcs."""
         root = self.m + self.n - 1
         tail, head, in_tree = self.tail, self.head, self.in_tree
         parent, parent_arc, depth = self.parent, self.parent_arc, self.depth
@@ -345,7 +382,8 @@ class _TransportationSolver:
                     raise self._failure("final basis", "basis lost spanning-tree property")
                 seen[y] = True
                 stack.append(y)
-        if not all(seen) or int(in_tree.sum()) != len(seen) - 1:
+        if not all(seen) or int(in_tree.sum()) != len(seen) - 1 \
+                or any(((table == math.inf) != in_tree).any() for table in self.price):
             raise self._failure("final basis", "basis lost spanning-tree property")
 
 
@@ -386,7 +424,7 @@ class _Graph:
         m, n = len(src), len(snk)
         tv, charge = tv_norm(mu), total_charge(mu)
         sign = 0.0 if abs(charge) <= CHARGE_REL_TOL * tv else math.copysign(1.0, charge)
-        costs = mu.space.dist[np.ix_(src, snk)]
+        costs = mu.space.dist[src][:, snk]
         arc_dist = np.zeros((m + 1, n + 1))
         arc_dist[:m, :n] = costs
         resid_arc = np.zeros((m + 1, n + 1), dtype=bool)

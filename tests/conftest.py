@@ -26,6 +26,13 @@ def zero_charge_measure(rng: np.random.Generator, space: FiniteMetricSpace) -> S
     return SignedMeasure(space, w)
 
 
+def wide_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Weights of either sign with magnitudes from 1e-12 to 1e12, a few of them 0."""
+    w = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 12.0, n)
+    w[rng.random(n) < 0.1] = 0.0
+    return w
+
+
 @pytest.fixture
 def two_point():
     return validate_space(["x", "y"], [[0.0, 1.0], [1.0, 0.0]])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_measure, shortest_path_space
+from conftest import random_measure, shortest_path_space, wide_weights
 from pkr.errors import InvalidQ, SpaceMismatch
 from pkr.holder import lp_combine
 from pkr.lipschitz import (
@@ -107,6 +107,18 @@ class TestPairing:
     def test_space_mismatch(self, two_point, line3):
         with pytest.raises(SpaceMismatch):
             pairing(fn(two_point, [1, 0]), dirac(line3, 0, 1.0))
+
+    def test_matches_the_scalar_fsum(self):
+        # an IEEE product is the same in numpy and in Python, and fsum is
+        # exact, so the sum is the same bits
+        rng = np.random.default_rng(34)
+        for n in (1, 2, 7, 40, 300):
+            sp = shortest_path_space(rng, n)
+            for _ in range(5):
+                f, mu = fn(sp, wide_weights(rng, n)), SignedMeasure(sp, wide_weights(rng, n))
+                loop = float(math.fsum(float(a) * float(b)
+                                       for a, b in zip(f.values, mu.weights)))
+                assert pairing(f, mu).hex() == loop.hex()
 
 
 class TestProduct:

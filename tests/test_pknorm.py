@@ -143,6 +143,25 @@ class TestScalarizedAgainstLinprog:
                     _scalarized_linprog(sp, mu, lam), rel=1e-9, abs=0.0)
 
 
+class TestFrontierAgainstLinprog:
+    """Every traced vertex against HiGHS, which shares no code with the walk."""
+
+    @pytest.mark.parametrize("n", [5, 20, 40, 60])
+    @pytest.mark.parametrize("measure", [random_measure, zero_charge_measure])
+    def test_each_vertex_attains_the_optimum_inside_its_interval(self, n, measure):
+        rng = np.random.default_rng(500 + n)
+        sp = shortest_path_space(rng, n)
+        mu = measure(rng, sp)
+        points = trace_frontier(sp, mu)
+        # vertex k is optimal from its own lam to the next vertex's lam, the
+        # last one from its lam on
+        ends = [fp.lam for fp in points[1:]] + [sp.diameter]
+        for fp, end in zip(points, ends):
+            lam = float(rng.uniform(fp.lam, end))
+            assert fp.a + lam * fp.b == pytest.approx(
+                _scalarized_linprog(sp, mu, lam), rel=1e-9, abs=0.0)
+
+
 class TestFrontier:
     def test_two_point_dipole(self, two_point):
         mu = dirac(two_point, 0, 1) - dirac(two_point, 1, 1)

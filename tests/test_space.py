@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import shortest_path_space
+from conftest import shortest_path_space, wide_weights
 from pkr import space as space_mod
 from pkr.errors import (
     AsymmetryError,
@@ -271,6 +271,18 @@ class TestMeasures:
         assert support(m, tol=1e-12) == [1]
         dip = dirac(two_point, 0, 1.0) - dirac(two_point, 1, 1.0)
         assert support(dip) == [0, 1]
+
+    def test_support_matches_the_scalar_loop(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 7, 40, 300):
+            sp = shortest_path_space(rng, n)
+            for _ in range(5):
+                mu = SignedMeasure(sp, wide_weights(rng, n))
+                for tol in (0.0, 1e-12, 1e-9, 1e-3):
+                    cut = tol * max(1.0, tv_norm(mu))
+                    loop = [i for i, x in enumerate(mu.weights) if abs(float(x)) > cut]
+                    assert support(mu, tol) == loop
+                    assert all(type(i) is int for i in support(mu, tol))
 
     def test_cross_space_arithmetic_rejected(self, two_point, line3):
         with pytest.raises(SpaceMismatch):

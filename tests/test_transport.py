@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_measure, shortest_path_space, zero_charge_measure
+from conftest import random_measure, shortest_path_space, wide_weights, zero_charge_measure
 from pkr.certify import check_optimality
 from pkr.errors import NonZeroCharge, NumericalFailure
 from pkr.oracle import RationalMeasure, oracle_kr
-from pkr.pknorm import pk_norm, trace_frontier
+from pkr.pknorm import pk_norm, scalarized_min, trace_frontier
 from pkr.space import SignedMeasure, dirac, tv_norm, validate_space
 from pkr.transport import (
     FlowResult,
     TransportPlan,
+    _Graph,
     _TransportationSolver,
     kr_norm,
     plan_cost,
@@ -173,6 +174,18 @@ class TestSolverFailures:
                                  np.array([1.0, 1.0]), 1.0)
 
 
+class TestGraph:
+    def test_costs_match_the_outer_index(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 7, 40, 300):
+            sp = shortest_path_space(rng, n)
+            for _ in range(5):
+                graph = _Graph.of(SignedMeasure(sp, wide_weights(rng, n)))
+                outer = sp.dist[np.ix_(graph.src, graph.snk)]
+                assert graph.costs.shape == outer.shape
+                assert graph.costs.tobytes() == outer.tobytes()
+
+
 class TestKrBeyondOracleCap:
     """Certificates at sizes the brute-force oracles (ATOM_CAP) cannot reach."""
 
@@ -290,6 +303,70 @@ class TestTieHeavyMetrics:
             xi = SignedMeasure(sp, _integer_zero_charge(rng, sp.n))
             _check_flow_result(sp, xi, kr_norm(sp, xi))
         assert counts["degenerate"] > 0 and counts["pivots"] > counts["degenerate"]
+
+
+def _reference_pricing(solver):
+    """The entering arc and the reduced costs by the gather-and-mask pricing
+    that the pricing tables replaced: u[tail] and u[head] gathered over
+    every arc, tree arcs masked to 0 at a fixed lam and left out of the
+    walk's crossings."""
+    tail, head = np.array(solver.tail), np.array(solver.head)
+    rc = np.array(solver.cost) + solver.u[tail] - solver.u[head]
+    if solver.lam != 1j:
+        masked = rc.copy()
+        masked[solver.in_tree] = 0.0
+        return int(np.argmin(masked)), rc
+    ready = (rc.imag < 0.0) & ~solver.in_tree
+    assert ready.any()
+    cross = np.full(len(tail), math.inf)
+    cross[ready] = rc.real[ready] / -rc.imag[ready]
+    return int(np.argmin(cross)), rc
+
+
+def _table_reduced_costs(solver):
+    """cost + u[tail] - u[head] from the pricing tables, one per cost part."""
+    m, n = solver.m, solver.n
+    parts = (solver.u.real, solver.u.imag)
+    return [((table.reshape(m, n) + u[:m, None]) - u[None, m:]).ravel()
+            for table, u in zip(solver.price, parts)]
+
+
+PRICING_CASES = {
+    "line25": lambda: _reader_case("line25"),
+    "cube16": lambda: _reader_case("cube16"),
+    "sp40": lambda: _reader_case((40, 1.0, 1.0)),
+    "sp120": lambda: _reader_case((120, 1.0, 1.0)),
+}
+
+
+class TestPricingTables:
+    """Pricing off the tables, tree arcs at +inf, enters the arc that the
+    gathered and masked pricing enters, from the same reduced costs."""
+
+    @pytest.mark.parametrize("name", list(PRICING_CASES))
+    def test_same_entering_arc_at_every_pivot(self, name, monkeypatch):
+        sp, xi, mu = PRICING_CASES[name]()
+        pivot = _TransportationSolver._pivot
+        counts = {"solve": 0, "walk": 0}
+
+        def checked_pivot(solver, e):
+            entering, rc = _reference_pricing(solver)
+            assert e == entering
+            tables = _table_reduced_costs(solver)
+            off = ~solver.in_tree
+            assert tables[0][off].tobytes() == rc.real[off].tobytes()
+            if solver.lam == 1j:
+                assert tables[1][off].tobytes() == rc.imag[off].tobytes()
+            for table in solver.price:
+                assert np.array_equal(table == math.inf, solver.in_tree)
+            counts["walk" if solver.lam == 1j else "solve"] += 1
+            pivot(solver, e)
+
+        monkeypatch.setattr(_TransportationSolver, "_pivot", checked_pivot)
+        kr_norm(sp, xi)
+        scalarized_min(sp, mu, sp.diameter / 4.0)
+        trace_frontier(sp, mu)
+        assert counts["solve"] > 0 and counts["walk"] > 0
 
 
 def _kr_linprog(space, xi):
