@@ -18,9 +18,10 @@ agree on it returned the same bytes. ``arcs`` is the arc count of the
 charged measure's transport graph, (sources + 1) x (sinks + 1).
 
 Without ``--check`` the script prints one JSON object keyed by n. With
-``--check FILE`` it compares the pivot and vertex counts with the ones
-recorded under ``"after"`` in FILE, prints what differs and exits 1 if
-anything does; wall times are not checked.
+``--check FILE`` it compares the pivot and vertex counts, and the hashes
+of the stages in ``HASHED``, with the ones recorded under ``"after"`` in
+FILE, prints what differs and exits 1 if anything does; wall times are
+not checked.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ import pkr  # noqa: E402
 from pkr import transport  # noqa: E402
 
 COUNTS = ("pivots", "vertices")
+# the stages whose outputs come only from IEEE + - * /, comparisons and
+# math.fsum, so their bytes do not depend on the machine; pk_norm_p2 is left
+# out, as lp_combine's ** goes through the platform's libm
+HASHED = ("validate_space", "kr_norm", "trace_frontier")
 
 
 def instance(n: int):
@@ -128,7 +133,8 @@ def differences(result: dict, recorded: dict) -> list[str]:
             found.append(f"n={n}: nothing recorded")
             continue
         for name, row in stages.items():
-            for key in COUNTS:
+            keys = COUNTS + ("sha256",) if name in HASHED else COUNTS
+            for key in keys:
                 if isinstance(row, dict) and key in row and row[key] != recorded[n][name][key]:
                     found.append(f"n={n} {name} {key}: {row[key]}, "
                                  f"recorded {recorded[n][name][key]}")
@@ -140,7 +146,7 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=int, nargs="+", required=True)
     ap.add_argument("--repeat", type=int, default=1)
     ap.add_argument("--check", type=Path,
-                    help="compare pivot and vertex counts with this file's \"after\" runs")
+                    help="compare counts and hashes with this file's \"after\" runs")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")

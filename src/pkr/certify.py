@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import pknorm
 from .errors import ConjugacyError, DivergenceMismatch, InvalidP, OrderError
 from .holder import HolderPair, lp_combine
 from .lipschitz import LipschitzFunction, lip_const, pairing, sup_norm
@@ -159,9 +160,8 @@ def check_equivalence(space: FiniteMetricSpace, mu: SignedMeasure,
     a2 = HolderPair.from_p(p2).p
     if a1 > a2:
         raise OrderError(f"need p1 <= p2, got {p1} > {p2}")
-    from .pknorm import trace_frontier
-
-    probes = trace_frontier(space, mu)
+    # read off the module at call time, so a wrapper installed on it is used
+    probes = pknorm.trace_frontier(space, mu)
     v1 = pk_norm(space, mu, a1, probes=probes).value
     v2 = pk_norm(space, mu, a2, probes=probes).value
     inv1 = 0.0 if math.isinf(a1) else 1.0 / a1

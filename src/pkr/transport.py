@@ -103,25 +103,28 @@ class _TransportationSolver:
     """Primal network simplex on the virtual-node graph of one measure.
 
     Row i < m - 1 is a source, column j < n - 1 a sink, and the last row
-    and column are the two halves of the virtual node; arc k runs from
-    row k // n to column k % n. ``costs`` prices the real pairs, the arcs
-    into the virtual column or out of the virtual row cost ``lam``, the
-    joining arc 0. ``supplies`` and ``demands`` end with the virtual
-    row's and column's (see ``_Graph``): the virtual row supplies
-    more than the real sinks can take, so the joining arc always carries
-    flow and both halves of the virtual node share one potential.
+    and column are the two halves of the virtual node. Node i is row i and
+    node m + j column j; arc k runs from node k // n to node m + k % n.
+    ``costs`` prices the real pairs, the arcs into the virtual column or
+    out of the virtual row cost ``lam``, the joining arc 0. ``supplies``
+    and ``demands`` end with the virtual row's and column's (see
+    ``_Graph``): the virtual row supplies more than the real sinks can
+    take, so the joining arc always carries flow and both halves of the
+    virtual node share one potential.
 
-    The basis is a spanning tree rooted at the virtual column, kept as
-    ``parent`` and ``parent_arc`` links, node depths and per-node child
-    lists. It starts as the all-annihilation tree (every source into the
-    virtual column, the virtual row into every sink, the joining arc),
-    which carries flow on every arc and is therefore strongly feasible:
-    every zero-flow tree arc points toward the root. A pivot finds the
-    cycle of the entering arc by climbing from both endpoints to their
-    common ancestor, the apex, which costs the cycle length. It then
-    updates the tree in place (Ahuja, Magnanti & Orlin, *Network Flows*,
-    1993, ch. 11): the subtree below the leaving arc is detached, the
-    parent links on the path from the entering arc's endpoint up to that
+    The basis is a spanning tree rooted at the virtual column, and the
+    parent links are its only record: ``parent`` and ``parent_arc`` by
+    node, node depths and per-node child lists. A node's side gives its
+    parent arc's direction, up from a row and down into a column. The tree
+    starts as the all-annihilation tree (every source into the virtual
+    column, the virtual row into every sink, the joining arc), which
+    carries flow on every arc and is therefore strongly feasible: every
+    zero-flow tree arc points toward the root. A pivot finds the cycle of
+    the entering arc by climbing from both endpoints to their common
+    ancestor, the apex, which costs the cycle length. It then updates the
+    tree in place (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+    ch. 11): the subtree below the leaving arc is detached, the parent
+    links on the path from the entering arc's endpoint up to that
     subtree's root are reversed, and the subtree is re-hung on the
     entering arc. Depths and potentials change only inside that subtree.
     They are recomputed there top-down from the new parents, so every
@@ -145,7 +148,7 @@ class _TransportationSolver:
     order, or two for the walk (c0 and c1), with every tree arc priced at
     +inf: a pivot sets the entering arc to +inf and gives the leaving arc
     its cost back. On the (m, n) view of a table, (price + u[row]) -
-    u[column] sums cost[k] + u[tail[k]] - u[head[k]] in that order for
+    u[column] sums cost[k] + u[k // n] - u[m + k % n] in that order for
     every arc k and is +inf on tree arcs, so one argmin over it, in arc
     order, scans the reduced costs with no mask.
     """
@@ -158,11 +161,9 @@ class _TransportationSolver:
         self.m, self.n, self.lam = m, n, lam
         self.pivots = 0
         self.max_pivots = 200 * (m * n + m + n) + 1000
-        k = np.arange(m * n)
         cost = np.full((m, n), lam)
         cost[:-1, :-1] = costs
         cost[-1, -1] = 0.0
-        self.tail, self.head = (k // n).tolist(), (m + k % n).tolist()
         self.cost = cost.ravel().tolist()
 
         flow = np.zeros((m, n))
@@ -170,13 +171,6 @@ class _TransportationSolver:
         flow[-1, :-1] = demands[:-1]
         flow[-1, -1] = supplies[-1] - float(demands[:-1].sum())
         self.flow = flow.ravel().tolist()
-        in_tree = np.zeros((m, n), dtype=bool)
-        in_tree[:, -1] = in_tree[-1, :] = True
-        self.in_tree = in_tree.ravel()
-        parts = (cost.real, cost.imag) if np.iscomplexobj(cost) else (cost,)
-        self.price = [np.array(part).ravel() for part in parts]
-        for table in self.price:
-            table[self.in_tree] = math.inf
 
         # the virtual column is the root: every source hangs from it, every
         # sink from the virtual row
@@ -187,6 +181,10 @@ class _TransportationSolver:
         self.children = [[] for _ in range(m + n)]
         self.children[vrow] = list(range(m, root))
         self.children[root] = list(range(m))
+        parts = (cost.real, cost.imag) if np.iscomplexobj(cost) else (cost,)
+        self.price = [np.array(part).ravel() for part in parts]
+        for table in self.price:
+            table[self.parent_arc[:-1]] = math.inf
         self.u = np.zeros(m + n, dtype=cost.dtype)
         self.u[:vrow] = -lam
         self.u[m:root] = lam
@@ -286,24 +284,23 @@ class _TransportationSolver:
         self.pivots += 1
 
     def _pivot(self, e):
-        tail, head, flow = self.tail, self.head, self.flow
+        m, flow = self.m, self.flow
         parent, parent_arc, depth = self.parent, self.parent_arc, self.depth
-        te, he = tail[e], head[e]
+        te, he = e // self.n, m + e % self.n
 
-        # climb to the apex; an entry is (arc, traversed forward when flow
-        # runs te -> he across e, its child node, the endpoint of e below it)
-        up_from_te, up_from_he = [], []
+        # climb from both ends of e to the apex; flow runs te -> he across
+        # e, so the parent arcs that run against it, and lose the step, are
+        # a row's (up from it) on the te side and a column's on the he side
+        te_side, he_side = [], []
         x, y = he, te
         for _ in range(len(parent)):
             if x == y:
                 break
             if depth[x] >= depth[y]:
-                a = parent_arc[x]
-                up_from_he.append((a, tail[a] == x, x, he))
+                he_side.append(x)
                 x = parent[x]
             else:
-                a = parent_arc[y]
-                up_from_te.append((a, head[a] == y, y, te))
+                te_side.append(y)
                 y = parent[y]
         else:
             # a tree path has fewer arcs than the tree has nodes
@@ -311,21 +308,23 @@ class _TransportationSolver:
 
         # walk from the apex down to te, across e, up from he; the last
         # blocking arc leaves, which keeps the tree strongly feasible
-        cycle = up_from_te[::-1] + up_from_he
-        theta = math.inf
-        leaving = cut = inner = -1
-        for a, forward, child, end in cycle:
-            if not forward and flow[a] <= theta:
-                theta, leaving, cut, inner = flow[a], a, child, end
-        if leaving < 0:
+        theta, cut, inner = math.inf, -1, -1
+        for y in reversed(te_side):
+            if y < m and flow[parent_arc[y]] <= theta:
+                theta, cut, inner = flow[parent_arc[y]], y, te
+        for x in he_side:
+            if x >= m and flow[parent_arc[x]] <= theta:
+                theta, cut, inner = flow[parent_arc[x]], x, he
+        if cut < 0:
             raise self._failure("pivoting", "unbounded pivot cycle")
 
         flow[e] += theta
-        for a, forward, _, _ in cycle:
-            flow[a] += theta if forward else -theta
-        self.in_tree[leaving] = False
-        self.in_tree[e] = True
+        for y in te_side:
+            flow[parent_arc[y]] += -theta if y < m else theta
+        for x in he_side:
+            flow[parent_arc[x]] += -theta if x >= m else theta
         # the leaving arc gets its cost back (a float's .real is itself)
+        leaving = parent_arc[cut]
         c = self.cost[leaving]
         for table, part in zip(self.price, (c.real, c.imag)):
             table[leaving], table[e] = part, math.inf
@@ -349,7 +348,7 @@ class _TransportationSolver:
                 break
             x, new_parent, new_arc = old_parent, x, old_arc
 
-        tail, cost, depth, u = self.tail, self.cost, self.depth, self.u
+        m, cost, depth, u = self.m, self.cost, self.depth, self.u
         stack = [inner]
         for _ in range(len(parent)):
             if not stack:
@@ -357,18 +356,18 @@ class _TransportationSolver:
             x = stack.pop()
             p, a = parent[x], parent_arc[x]
             depth[x] = depth[p] + 1
-            # zero reduced cost on tree arcs: u[head] = u[tail] + cost
-            u[x] = u[p] + cost[a] if tail[a] == p else u[p] - cost[a]
+            # zero reduced cost on tree arcs; a column's parent arc runs into it
+            u[x] = u[p] + cost[a] if x >= m else u[p] - cost[a]
             stack.extend(children[x])
         else:
             # the root never moves, so a subtree has fewer nodes than the tree
             raise self._failure("pivoting", "basis lost spanning-tree property")
 
     def _check_tree(self):
-        """Confirm that every node hangs off the root through basic arcs,
-        and that the pricing tables are +inf on exactly those arcs."""
-        root = self.m + self.n - 1
-        tail, head, in_tree = self.tail, self.head, self.in_tree
+        """Confirm that every node hangs off the root by an arc joining it to
+        its parent, and that the pricing tables are +inf on those arcs only."""
+        m, n = self.m, self.n
+        root = m + n - 1
         parent, parent_arc, depth = self.parent, self.parent_arc, self.depth
         seen = [False] * len(parent)
         seen[root] = True
@@ -378,12 +377,13 @@ class _TransportationSolver:
             for y in self.children[x]:
                 a = parent_arc[y]
                 if seen[y] or parent[y] != x or depth[y] != depth[x] + 1 \
-                        or not in_tree[a] or {tail[a], head[a]} != {x, y}:
+                        or {a // n, m + a % n} != {x, y}:
                     raise self._failure("final basis", "basis lost spanning-tree property")
                 seen[y] = True
                 stack.append(y)
-        if not all(seen) or int(in_tree.sum()) != len(seen) - 1 \
-                or any(((table == math.inf) != in_tree).any() for table in self.price):
+        tree_arcs = sorted(parent_arc[:-1])
+        if not all(seen) or any(np.flatnonzero(table == math.inf).tolist() != tree_arcs
+                                for table in self.price):
             raise self._failure("final basis", "basis lost spanning-tree property")
 
 

@@ -151,17 +151,31 @@ class TestKrInvariants:
             assert tv_norm(replay - xi) <= 1e-9 * max(1.0, tv_norm(xi))
 
 
+def _price_off_tree_arc(solver):
+    """Price the first arc off the tree at +inf, as if it were basic."""
+    a = min(set(range(solver.m * solver.n)) - set(solver.parent_arc))
+    for table in solver.price:
+        table[a] = math.inf
+
+
+def _swap_parent_arcs(solver):
+    """Give the first source the first sink's parent arc and vice versa: the
+    tree arcs stay the same set, but neither joins its node to its parent."""
+    arcs = solver.parent_arc
+    arcs[0], arcs[solver.m] = arcs[solver.m], arcs[0]
+
+
 class TestSolverFailures:
-    def test_failure_names_stage_sizes_and_pivots(self, monkeypatch):
-        pivot = _TransportationSolver._pivot
+    @pytest.mark.parametrize("corrupt", [_price_off_tree_arc, _swap_parent_arcs])
+    def test_failure_names_stage_sizes_and_pivots(self, corrupt, monkeypatch):
+        check_tree = _TransportationSolver._check_tree
 
-        def corrupting_pivot(solver, e):
-            pivot(solver, e)
-            # an arc marked basic that is not in the tree: the final
-            # spanning-tree check must catch it
-            solver.in_tree[int(np.argmin(solver.in_tree))] = True
+        def corrupting_check(solver):
+            # after the last pivot: the final spanning-tree check must catch it
+            corrupt(solver)
+            check_tree(solver)
 
-        monkeypatch.setattr(_TransportationSolver, "_pivot", corrupting_pivot)
+        monkeypatch.setattr(_TransportationSolver, "_check_tree", corrupting_check)
         sp = _integer_line(5)
         xi = SignedMeasure(sp, np.array([2.0, -1.0, -1.0, 1.0, -1.0]))
         with pytest.raises(NumericalFailure,
@@ -228,14 +242,15 @@ def _integer_zero_charge(rng, n):
 
 
 def _rebuilt_tree(solver):
-    """Parent links, depths and potentials walked from the root afresh."""
+    """Parent links, depths and potentials walked from the root afresh, over
+    the arcs that the pricing tables mark basic with +inf."""
     num_nodes = len(solver.parent)
     root = num_nodes - 1
     adj = [[] for _ in range(num_nodes)]
-    for a in np.nonzero(solver.in_tree)[0]:
-        t, h = solver.tail[a], solver.head[a]
-        adj[t].append((h, int(a)))
-        adj[h].append((t, int(a)))
+    for a in np.flatnonzero(solver.price[0] == math.inf).tolist():
+        t, h = a // solver.n, solver.m + a % solver.n
+        adj[t].append((h, a))
+        adj[h].append((t, a))
     parent, parent_arc = [-1] * num_nodes, [-1] * num_nodes
     depth, u = [0] * num_nodes, [0.0] * num_nodes
     seen, stack = {root}, [root]
@@ -246,7 +261,7 @@ def _rebuilt_tree(solver):
                 seen.add(y)
                 parent[y], parent_arc[y], depth[y] = x, a, depth[x] + 1
                 c = solver.cost[a]
-                u[y] = u[x] + c if solver.tail[a] == x else u[x] - c
+                u[y] = u[x] + c if a // solver.n == x else u[x] - c
                 stack.append(y)
     assert len(seen) == num_nodes
     return parent, parent_arc, depth, u
@@ -308,19 +323,28 @@ class TestTieHeavyMetrics:
 def _reference_pricing(solver):
     """The entering arc and the reduced costs by the gather-and-mask pricing
     that the pricing tables replaced: u[tail] and u[head] gathered over
-    every arc, tree arcs masked to 0 at a fixed lam and left out of the
-    walk's crossings."""
-    tail, head = np.array(solver.tail), np.array(solver.head)
+    every arc, tree arcs (the ``parent_arc`` entries) masked to 0 at a fixed
+    lam and left out of the walk's crossings."""
+    k = np.arange(solver.m * solver.n)
+    tail, head = k // solver.n, solver.m + k % solver.n
     rc = np.array(solver.cost) + solver.u[tail] - solver.u[head]
+    in_tree = _tree_mask(solver)
     if solver.lam != 1j:
         masked = rc.copy()
-        masked[solver.in_tree] = 0.0
+        masked[in_tree] = 0.0
         return int(np.argmin(masked)), rc
-    ready = (rc.imag < 0.0) & ~solver.in_tree
+    ready = (rc.imag < 0.0) & ~in_tree
     assert ready.any()
     cross = np.full(len(tail), math.inf)
     cross[ready] = rc.real[ready] / -rc.imag[ready]
     return int(np.argmin(cross)), rc
+
+
+def _tree_mask(solver):
+    """By arc, whether some node's parent link is that arc."""
+    in_tree = np.zeros(solver.m * solver.n, dtype=bool)
+    in_tree[solver.parent_arc[:-1]] = True
+    return in_tree
 
 
 def _table_reduced_costs(solver):
@@ -353,12 +377,13 @@ class TestPricingTables:
             entering, rc = _reference_pricing(solver)
             assert e == entering
             tables = _table_reduced_costs(solver)
-            off = ~solver.in_tree
+            in_tree = _tree_mask(solver)
+            off = ~in_tree
             assert tables[0][off].tobytes() == rc.real[off].tobytes()
             if solver.lam == 1j:
                 assert tables[1][off].tobytes() == rc.imag[off].tobytes()
             for table in solver.price:
-                assert np.array_equal(table == math.inf, solver.in_tree)
+                assert np.array_equal(table == math.inf, in_tree)
             counts["walk" if solver.lam == 1j else "solve"] += 1
             pivot(solver, e)
 
@@ -367,6 +392,66 @@ class TestPricingTables:
         scalarized_min(sp, mu, sp.diameter / 4.0)
         trace_frontier(sp, mu)
         assert counts["solve"] > 0 and counts["walk"] > 0
+
+
+def _reference_pivot(solver, e):
+    """The leaving arc and the flows after entering ``e``, by the leaving
+    rule that the node-list cycle replaced: climb to the apex collecting
+    (arc, traversed forward) entries, join the tail side reversed to the head
+    side, and take the last backward arc of least flow (Cunningham's rule).
+    Also returns how many backward arcs tie at that flow."""
+    m, n, flow = solver.m, solver.n, list(solver.flow)
+    parent, parent_arc, depth = solver.parent, solver.parent_arc, solver.depth
+    te, he = e // n, m + e % n
+    up_from_te, up_from_he = [], []
+    x, y = he, te
+    while x != y:
+        if depth[x] >= depth[y]:
+            a = parent_arc[x]
+            up_from_he.append((a, a // n == x))
+            x = parent[x]
+        else:
+            a = parent_arc[y]
+            up_from_te.append((a, m + a % n == y))
+            y = parent[y]
+    cycle = up_from_te[::-1] + up_from_he
+    theta, leaving = math.inf, -1
+    for a, forward in cycle:
+        if not forward and flow[a] <= theta:
+            theta, leaving = flow[a], a
+    ties = sum(not forward and flow[a] == theta for a, forward in cycle)
+    flow[e] += theta
+    for a, forward in cycle:
+        flow[a] += theta if forward else -theta
+    return leaving, flow, ties
+
+
+class TestLeavingRule:
+    """The pivot cycle as two node lists leaves the arc, and the flows, that
+    the per-arc 4-tuple cycle left, ties among blocking arcs included."""
+
+    @pytest.mark.parametrize("name", ["line25", "cube16", "sp40"])
+    def test_same_leaving_arc_and_flows_at_every_pivot(self, name, monkeypatch):
+        sp, xi, mu = PRICING_CASES[name]()
+        pivot = _TransportationSolver._pivot
+        counts = {"pivots": 0, "tied": 0}
+
+        def checked_pivot(solver, e):
+            leaving, flow, ties = _reference_pivot(solver, e)
+            before = set(solver.parent_arc)
+            pivot(solver, e)
+            assert before - set(solver.parent_arc) == {leaving}
+            assert solver.flow == flow
+            counts["pivots"] += 1
+            counts["tied"] += ties > 1
+
+        monkeypatch.setattr(_TransportationSolver, "_pivot", checked_pivot)
+        kr_norm(sp, xi)
+        scalarized_min(sp, mu, sp.diameter / 4.0)
+        trace_frontier(sp, mu)
+        assert counts["pivots"] > 0
+        if name != "sp40":
+            assert counts["tied"] > 0
 
 
 def _kr_linprog(space, xi):
@@ -450,7 +535,7 @@ def _zero_flow_arcs_point_to_root(solver):
     count = 0
     for x, a in enumerate(solver.parent_arc):
         if a >= 0 and solver.flow[a] == 0.0:
-            assert solver.tail[a] == x, f"zero-flow arc {a} points away from the root"
+            assert a // solver.n == x, f"zero-flow arc {a} points away from the root"
             count += 1
     return count
 
